@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! mtb run --app <metbench|btmz|siesta|synthetic> [options]
-//! mtb tables [1..6|all]
+//! mtb tables [4|5|6|all] [--gantt]
 //! mtb sweep --app <app>
 //! mtb help
 //! ```
@@ -19,7 +19,7 @@
 
 use mtb_bench::harness::{config_hash_static, run_static};
 use mtb_core::balance::{execute_with, prepare, StaticRun};
-use mtb_core::dynamic::DynamicBalancer;
+use mtb_core::dynamic::{ControllerConfig, TwoLevelController};
 use mtb_core::paper_cases::{self, Case};
 use mtb_core::policy::PrioritySetting;
 use mtb_mpisim::engine::RunResult;
@@ -40,7 +40,8 @@ mtb — balancing HPC applications on MT processors (IPDPS 2008 reproduction)
 
 USAGE:
     mtb run --app <APP> [OPTIONS]     simulate one configuration
-    mtb tables [N|all]                regenerate paper tables (default: all)
+    mtb tables [4|5|6|all] [--gantt]  regenerate paper tables IV-VI (default: all)
+                                      and, with --gantt, Figures 2-4
     mtb sweep --app <APP>             sweep the priority difference
     mtb lint [OPTIONS]                static analysis of programs + priorities
     mtb suggest [OPTIONS]             rank (placement, priority) plans statically
@@ -55,7 +56,8 @@ APPS:   metbench | btmz | siesta | synthetic
 RUN OPTIONS:
     --case <ST|A|B|C|D>     paper case configuration     [default: A]
     --kernel <patched|vanilla>                           [default: patched]
-    --dynamic               drive priorities with the feedback balancer
+    --dynamic               drive priorities and placement with the
+                            two-level controller
     --noise <duty-pct>      CPU0 device-IRQ duty cycle (0-50)
     --scale <f>             work multiplier               [default: 1.0]
     --iterations <n>        override the iteration count
@@ -258,13 +260,18 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
 
     let result = if flags.iter().any(|f| f == "dynamic") {
-        let mut balancer = DynamicBalancer::with_defaults(&case.placement);
-        let r = execute_with(run, &mut balancer);
-        if let Ok(ref _r) = r {
+        let mut ctl = TwoLevelController::for_programs(
+            &programs,
+            &case.placement,
+            ControllerConfig::default(),
+        );
+        let r = execute_with(run, &mut ctl);
+        if r.is_ok() {
             println!(
-                "dynamic policy: {} adjustments, {} reverts",
-                balancer.adjustments(),
-                balancer.reverts()
+                "dynamic policy: {} adjustments, {} reverts, {} remaps",
+                ctl.adjustments(),
+                ctl.reverts(),
+                ctl.remaps()
             );
         }
         r
@@ -289,14 +296,38 @@ fn cmd_run(args: &[String]) -> ExitCode {
 }
 
 fn cmd_tables(args: &[String]) -> ExitCode {
-    let which = args.first().map(String::as_str).unwrap_or("all");
+    let (which, rest) = match args.split_first() {
+        Some((w, rest)) if !w.starts_with("--") => (w.as_str(), rest),
+        _ => ("all", args),
+    };
+    let gantt = match parse_opts(rest) {
+        Ok((_, flags)) => flags.iter().any(|f| f == "gantt"),
+        Err(e) => {
+            eprintln!("{e}\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let all = which == "all";
-    // The table binaries own the formatting; reuse their logic by calling
-    // the harness directly.
+    if !(all || ["4", "5", "6"].contains(&which)) {
+        eprintln!("tables: expected 4, 5, 6 or all (tables 1-3 have dedicated binaries)");
+        return ExitCode::FAILURE;
+    }
+    // The table, then with --gantt its figure; ST rows have no Gantt.
+    let print = |title: &str, figure: &str, runs: &[(Case, RunResult)], st_rows: usize| {
+        println!("{}", mtb_bench::report(title, "A", runs));
+        if gantt {
+            println!("{}", mtb_bench::gantts(figure, &runs[st_rows..], 100));
+        }
+    };
     if all || which == "4" {
         let cfg = MetBenchConfig::default();
         let runs = mtb_bench::run_cases(paper_cases::metbench_cases(), |_| cfg.programs());
-        println!("{}", mtb_bench::report("TABLE IV — METBENCH", "A", &runs));
+        print(
+            "TABLE IV — METBENCH BALANCED AND IMBALANCED CHARACTERIZATION",
+            "Figure 2",
+            &runs,
+            0,
+        );
     }
     if all || which == "5" {
         let st_cfg = BtMzConfig::st_mode();
@@ -306,7 +337,12 @@ fn cmd_tables(args: &[String]) -> ExitCode {
         runs.extend(mtb_bench::run_cases(paper_cases::btmz_cases(), |_| {
             cfg.programs()
         }));
-        println!("{}", mtb_bench::report("TABLE V — BT-MZ", "A", &runs));
+        print(
+            "TABLE V — BT-MZ BALANCED AND IMBALANCED CHARACTERIZATION",
+            "Figure 3",
+            &runs,
+            1,
+        );
     }
     if all || which == "6" {
         let st_cfg = SiestaConfig::st_mode();
@@ -316,11 +352,12 @@ fn cmd_tables(args: &[String]) -> ExitCode {
         runs.extend(mtb_bench::run_cases(paper_cases::siesta_cases(), |_| {
             cfg.programs()
         }));
-        println!("{}", mtb_bench::report("TABLE VI — SIESTA", "A", &runs));
-    }
-    if !(all || ["4", "5", "6"].contains(&which)) {
-        eprintln!("tables: expected 4, 5, 6 or all (tables 1-3 have dedicated binaries)");
-        return ExitCode::FAILURE;
+        print(
+            "TABLE VI — SIESTA BALANCED AND IMBALANCED CHARACTERIZATION",
+            "Figure 4",
+            &runs,
+            1,
+        );
     }
     ExitCode::SUCCESS
 }

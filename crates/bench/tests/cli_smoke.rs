@@ -70,6 +70,34 @@ fn dynamic_flag_reports_policy_activity() {
     ]);
     assert!(ok);
     assert!(stdout.contains("dynamic policy:"), "{stdout}");
+    assert!(stdout.contains(" remaps"), "two-level controller: {stdout}");
+}
+
+/// `mtb tables N [--gantt]` reproduces, byte for byte, the stdout of the
+/// former per-table binaries (snapshots under `tests/golden/`).
+#[test]
+fn tables_match_the_golden_snapshots() {
+    let golden = |name: &str| {
+        let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).expect("golden snapshot present")
+    };
+    let mut all_gantt = String::new();
+    for t in ["4", "5", "6"] {
+        let (ok, stdout, stderr) = mtb(&["tables", t]);
+        assert!(ok, "stderr: {stderr}");
+        assert_eq!(stdout, golden(&format!("table{t}")), "mtb tables {t}");
+        let (ok, stdout, stderr) = mtb(&["tables", t, "--gantt"]);
+        assert!(ok, "stderr: {stderr}");
+        assert_eq!(
+            stdout,
+            golden(&format!("table{t}_gantt")),
+            "mtb tables {t} --gantt"
+        );
+        all_gantt.push_str(&stdout);
+    }
+    let (ok, stdout, _) = mtb(&["tables", "all", "--gantt"]);
+    assert!(ok);
+    assert_eq!(stdout, all_gantt, "`all` is tables 4, 5 and 6 in order");
 }
 
 #[test]

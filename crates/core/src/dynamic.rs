@@ -42,6 +42,8 @@ use crate::observe::ProgressModel;
 use mtb_mpisim::engine::{Observer, RankWindow};
 use mtb_oskernel::Machine;
 use mtb_smtsim::model::WorkloadProfile;
+use mtb_smtsim::perfmodel::pair_rates;
+use mtb_smtsim::HwPriority;
 use mtb_trace::Cycles;
 
 /// Tunables of the dynamic policy.
@@ -346,8 +348,9 @@ impl DynamicBalancer {
         let mut sb = self.smooth[b] * self.weight(b);
         if let Some(profiles) = &self.profiles {
             if let (Some(pa), Some(pb)) = (profiles.get(a), profiles.get(b)) {
-                let (ra, rb) =
-                    crate::predictor::predict_pair(pa, pb, self.current[a], self.current[b]);
+                let hw =
+                    |rank: usize| HwPriority::new(self.current[rank]).expect("applied priority");
+                let (ra, rb) = pair_rates(pa, pb, hw(a), hw(b));
                 if ra > 0.0 && rb > 0.0 {
                     sa *= ra;
                     sb *= rb;

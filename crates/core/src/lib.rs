@@ -19,9 +19,10 @@
 //!   controller that equalizes progress against the static plan's
 //!   expectation and remaps ranks across cores when intra-core tuning
 //!   saturates.
-//! * [`predictor`] — a what-if model over the decode-share mathematics:
-//!   predicts per-rank speed at candidate priority pairs and picks the
-//!   pair minimizing the core's makespan.
+//! * [`predictor`] — the priority-pair search: evaluates candidate pairs
+//!   through the decode-share pair model in `mtb_smtsim::perfmodel`
+//!   (`pair_rates`, `pair_makespan`) and picks the pair minimizing the
+//!   core's makespan.
 //! * [`mapper`] — core-pairing heuristics (pair the heaviest rank with the
 //!   lightest, Section VII-B's mapping argument).
 //! * [`observe`] — epoch-window recording for offline analysis of
@@ -57,4 +58,4 @@ pub use dynamic::{ControllerConfig, DynamicBalancer, DynamicConfig, TwoLevelCont
 pub use mapper::pair_by_load;
 pub use observe::ProgressModel;
 pub use policy::PrioritySetting;
-pub use predictor::{best_priority_pair, predict_pair};
+pub use predictor::best_priority_pair;

@@ -1,80 +1,21 @@
-//! What-if prediction over the decode-share model.
+//! Priority-pair search over the decode-share model.
 //!
 //! Choosing priorities by trial and error is exactly what the paper's
 //! authors had to do (four cases per application). This module predicts
 //! the outcome instead: given the two co-running workload profiles and
 //! their work amounts, it evaluates every candidate priority pair through
-//! the same throughput equations the mesoscale core uses and returns the
-//! pair minimizing the core's makespan. It is the model-driven replacement
-//! for the paper's manual case exploration.
+//! [`mtb_smtsim::perfmodel::pair_makespan`] — the same throughput
+//! equations the mesoscale core uses — and returns the pair minimizing the
+//! core's makespan. It is the model-driven replacement for the paper's
+//! manual case exploration.
 
-use mtb_smtsim::inst::StreamSpec;
-use mtb_smtsim::model::{CoreModel, ThreadId, Workload, WorkloadProfile};
-use mtb_smtsim::perfmodel::{MesoConfig, MesoCore};
+use mtb_smtsim::model::WorkloadProfile;
+use mtb_smtsim::perfmodel::pair_makespan;
 use mtb_smtsim::HwPriority;
 
-/// Predicted steady-state throughputs (instructions/cycle) of two
-/// co-running workloads at the given priorities.
-pub fn predict_pair(a: &WorkloadProfile, b: &WorkloadProfile, pa: u8, pb: u8) -> (f64, f64) {
-    let mut core = MesoCore::new(MesoConfig::default());
-    core.assign(
-        ThreadId::A,
-        Workload::with_profile("a", StreamSpec::balanced(0), *a),
-    );
-    core.assign(
-        ThreadId::B,
-        Workload::with_profile("b", StreamSpec::balanced(1), *b),
-    );
-    core.set_priority(ThreadId::A, HwPriority::new(pa).expect("priority in range"));
-    core.set_priority(ThreadId::B, HwPriority::new(pb).expect("priority in range"));
-    let r = core.throughputs();
-    (r[0], r[1])
-}
-
-/// The profile of the MPI busy-wait loop a finished rank executes (matches
-/// `mtb_oskernel::machine::spin_workload`): the early finisher does *not*
-/// free the core — it spins at its configured priority, which is exactly
-/// why Section VI recommends lowering the priority of polling threads.
-fn spin_profile() -> WorkloadProfile {
-    WorkloadProfile::new(2.0, 0.1, 0.0)
-}
-
-/// Predicted makespan (cycles) of a core running workload `a` for
-/// `work_a` instructions and `b` for `work_b`, at the given priorities.
-///
-/// Two phases: both threads compute at the paired rates until the shorter
-/// one finishes; the survivor then runs against the finisher's *spin
-/// loop*, still throttled by the priority pair (an MPICH blocking call
-/// busy-waits; it does not idle the context).
-pub fn predict_makespan(
-    a: &WorkloadProfile,
-    b: &WorkloadProfile,
-    work_a: u64,
-    work_b: u64,
-    pa: u8,
-    pb: u8,
-) -> f64 {
-    let (ra, rb) = predict_pair(a, b, pa, pb);
-    if ra <= 0.0 || rb <= 0.0 {
-        return f64::INFINITY;
-    }
-    let ta = work_a as f64 / ra;
-    let tb = work_b as f64 / rb;
-    let (first, survivor_rate, survivor_left) = if ta <= tb {
-        let (_, r_surv) = predict_pair(&spin_profile(), b, pa, pb);
-        (ta, r_surv, work_b as f64 - tb.min(ta) * rb)
-    } else {
-        let (r_surv, _) = predict_pair(a, &spin_profile(), pa, pb);
-        (tb, r_surv, work_a as f64 - ta.min(tb) * ra)
-    };
-    if survivor_rate <= 0.0 {
-        return f64::INFINITY;
-    }
-    first + (survivor_left.max(0.0) / survivor_rate)
-}
-
 /// Search OS-settable priority pairs (1..=6 each) for the one minimizing
-/// the predicted makespan. Returns `(pa, pb, predicted_cycles)`.
+/// the predicted makespan. Returns `(pa, pb, predicted_cycles)`; a starved
+/// pair counts as never finishing.
 ///
 /// `max_diff` bounds the explored priority difference (the paper's case D
 /// shows why unbounded differences are dangerous when the model is
@@ -86,13 +27,15 @@ pub fn best_priority_pair(
     work_b: u64,
     max_diff: u8,
 ) -> (u8, u8, f64) {
+    let hw = |p: u8| HwPriority::new(p).expect("OS-settable priority");
     let mut best = (4u8, 4u8, f64::INFINITY);
     for pa in 1..=6u8 {
         for pb in 1..=6u8 {
             if pa.abs_diff(pb) > max_diff {
                 continue;
             }
-            let t = predict_makespan(a, b, work_a, work_b, pa, pb);
+            let t = pair_makespan(a, work_a, b, work_b, hw(pa), hw(pb))
+                .map_or(f64::INFINITY, |(t, _)| t);
             if t < best.2 {
                 best = (pa, pb, t);
             }
@@ -110,35 +53,6 @@ mod tests {
     }
 
     #[test]
-    fn prediction_matches_meso_core_by_construction() {
-        let (ra, rb) = predict_pair(&dense(2.6), &dense(2.6), 4, 4);
-        assert!((ra - rb).abs() < 1e-9);
-        assert!(ra <= 2.5 + 1e-9, "equal share supply bound");
-    }
-
-    #[test]
-    fn boosting_helps_the_boosted_thread() {
-        let (r_hi, r_lo) = predict_pair(&dense(2.6), &dense(2.6), 6, 4);
-        let (r_eq, _) = predict_pair(&dense(2.6), &dense(2.6), 4, 4);
-        assert!(r_hi > r_eq);
-        assert!(r_lo < r_eq);
-    }
-
-    #[test]
-    fn makespan_accounts_for_the_solo_tail() {
-        // Balanced work at equal priorities: ends together, no tail.
-        let t_eq = predict_makespan(&dense(2.6), &dense(2.6), 1_000_000, 1_000_000, 4, 4);
-        // Heavily skewed work: the light thread finishes early and the
-        // heavy one continues at solo speed.
-        let t_skew = predict_makespan(&dense(2.6), &dense(2.6), 4_000_000, 1_000_000, 4, 4);
-        assert!(t_skew > t_eq);
-        assert!(
-            t_skew < 4.0 * t_eq,
-            "the tail against a spin loop still beats 4 sequential phases"
-        );
-    }
-
-    #[test]
     fn best_pair_for_imbalanced_work_boosts_the_heavy_thread() {
         let (pa, pb, t) = best_priority_pair(&dense(2.6), &dense(2.6), 4_000_000, 1_000_000, 2);
         assert!(
@@ -147,7 +61,15 @@ mod tests {
         );
         assert!(t.is_finite());
         // And the chosen pair beats the default.
-        let t_default = predict_makespan(&dense(2.6), &dense(2.6), 4_000_000, 1_000_000, 4, 4);
+        let (t_default, _) = pair_makespan(
+            &dense(2.6),
+            4_000_000,
+            &dense(2.6),
+            1_000_000,
+            HwPriority::MEDIUM,
+            HwPriority::MEDIUM,
+        )
+        .unwrap();
         assert!(t <= t_default);
     }
 
@@ -155,20 +77,6 @@ mod tests {
     fn best_pair_for_balanced_work_is_symmetric() {
         let (pa, pb, _) = best_priority_pair(&dense(2.6), &dense(2.6), 1_000_000, 1_000_000, 2);
         assert_eq!(pa, pb, "no reason to skew a balanced pair");
-    }
-
-    #[test]
-    fn memory_bound_pairs_gain_little_from_priorities() {
-        // The SIESTA story: a 1.6-IPC thread is not decode-limited at
-        // share 1/2, so boosting the partner barely hurts it.
-        let mem = WorkloadProfile::new(1.6, 0.2, 0.5);
-        let (_, r_lo_eq) = predict_pair(&mem, &mem, 4, 4);
-        let (_, r_lo_boosted) = predict_pair(&mem, &mem, 5, 4);
-        let hit = 1.0 - r_lo_boosted / r_lo_eq;
-        assert!(
-            hit < 0.05,
-            "diff-1 penalty should be tiny for memory-bound code: {hit}"
-        );
     }
 
     #[test]

@@ -161,7 +161,6 @@ pub enum Segmentation {
 /// (Section VI).
 pub fn spin_workload() -> Workload {
     use mtb_smtsim::inst::StreamSpec;
-    use mtb_smtsim::model::WorkloadProfile;
     Workload::with_profile(
         "mpi-spin",
         StreamSpec {
@@ -174,7 +173,7 @@ pub fn spin_workload() -> Workload {
             code_kb: 1,
             seed: 0x5049,
         },
-        WorkloadProfile::new(2.0, 0.1, 0.0),
+        mtb_smtsim::perfmodel::spin_profile(),
     )
 }
 

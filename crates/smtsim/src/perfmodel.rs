@@ -28,9 +28,18 @@
 //! normal mode — hard Table-II slices with a slight second-order uplift,
 //! which is what the paper's measured MetBench Case C/D exec times imply
 //! (see DESIGN.md §5).
+//!
+//! ## Pair predictions
+//!
+//! The same equations answer what-if questions about bare profiles:
+//! [`pair_rates`] and [`solo_rate`] give steady-state throughputs, and
+//! [`pair_makespan`] the two-phase makespan of a core whose early finisher
+//! keeps its decode share while it spins in MPI ([`spin_profile`]). The
+//! balancer's priority search, the static linter and the plan model all
+//! predict through these functions.
 
 use crate::decode::{decode_share, decode_share_linear};
-use crate::model::{CoreModel, ThreadId, Workload};
+use crate::model::{CoreModel, ThreadId, Workload, WorkloadProfile};
 use crate::priority::HwPriority;
 use crate::state::{CoreState, MesoCoreState, MesoCtxState};
 use crate::Cycles;
@@ -82,6 +91,153 @@ impl Default for MesoConfig {
             share_law: ShareLaw::Power5,
         }
     }
+}
+
+impl MesoConfig {
+    /// Steady-state throughputs (instructions/cycle) of two contexts
+    /// holding `profiles` (`None` = no workload) at `prio`. A context is
+    /// live when it has a workload and is not switched off.
+    fn rates(&self, profiles: [Option<&WorkloadProfile>; 2], prio: [HwPriority; 2]) -> [f64; 2] {
+        let w = self.decode_width;
+        let (sa, sb) = self.share_law.shares(prio[0], prio[1]);
+        let shares = [sa, sb];
+
+        let live = [0, 1].map(|i| profiles[i].is_some() && !prio[i].is_off());
+        let mut caps = [0.0f64; 2];
+        for i in 0..2 {
+            if !live[i] {
+                continue;
+            }
+            let prof = profiles[i].expect("live");
+            let j = 1 - i;
+            caps[i] = if live[j] {
+                let other = profiles[j].expect("live");
+                // The POWER5 priority mechanism gates *resources*, not just
+                // decode: a context holding a small decode share occupies
+                // proportionally fewer issue-queue entries and cache MSHRs,
+                // so the pressure it exerts on its sibling scales with its
+                // share (1.0 at the equal-priority 50/50 split).
+                let pollution = (2.0 * shares[j]).min(1.0);
+                prof.ipc_st
+                    * (1.0
+                        - pollution
+                            * (self.unit_contention * other.unit_pressure
+                                + self.mem_contention * other.mem_intensity))
+                        .max(0.05)
+            } else {
+                prof.ipc_st
+            };
+        }
+
+        // Base consumption under hard shares.
+        let base = [caps[0].min(w * shares[0]), caps[1].min(w * shares[1])];
+
+        let mut rates = [0.0f64; 2];
+        for i in 0..2 {
+            if !live[i] {
+                continue;
+            }
+            let j = 1 - i;
+            // Slots the co-runner owns but does not consume.
+            let unused_j = if live[j] {
+                (w * shares[j] - base[j]).max(0.0)
+            } else {
+                // A workless context consumes nothing; its whole share is
+                // up for grabs (it still *owns* the slots unless its
+                // priority is 0, in which case decode_share gave it 0).
+                w * shares[j]
+            };
+            let kappa = self.kappa(prio[i].value(), prio[j].value());
+            rates[i] = caps[i].min(w * shares[i] + kappa * unused_j);
+        }
+        rates
+    }
+
+    /// Steal coefficient for a context at priority `pi` picking up the
+    /// unused slots of its co-runner at priority `pj`.
+    fn kappa(&self, pi: u8, pj: u8) -> f64 {
+        if pi == 1 && pj > 1 {
+            // Table III: "takes what is left over" — full leftover use.
+            1.0
+        } else if pi >= 1 && pj == 0 {
+            // ST mode: decode_share already grants everything; no stealing
+            // needed (and nothing to steal).
+            0.0
+        } else if pi <= 1 || pj <= 1 {
+            // Power-save and other degenerate modes: strict.
+            0.0
+        } else {
+            self.steal_efficiency
+        }
+    }
+}
+
+/// The profile of the MPI busy-wait loop a rank spins in once its compute
+/// is done. The early finisher does *not* free the core: it keeps its
+/// decode share at its priority, which is why Section VI recommends
+/// lowering the priority of polling threads.
+pub fn spin_profile() -> WorkloadProfile {
+    WorkloadProfile::new(2.0, 0.1, 0.0)
+}
+
+/// Throughput of a workload running alone on a core at MEDIUM priority.
+/// The workless sibling, also at MEDIUM, still owns its decode share;
+/// only the steal fraction of it is usable.
+pub fn solo_rate(profile: &WorkloadProfile) -> f64 {
+    MesoConfig::default().rates([Some(profile), None], [HwPriority::MEDIUM; 2])[0]
+}
+
+/// Steady-state throughputs (instructions/cycle) of two co-running
+/// workloads at priorities `pa`, `pb` — the default-config [`MesoCore`]
+/// rates, without building one.
+pub fn pair_rates(
+    a: &WorkloadProfile,
+    b: &WorkloadProfile,
+    pa: HwPriority,
+    pb: HwPriority,
+) -> (f64, f64) {
+    let [ra, rb] = MesoConfig::default().rates([Some(a), Some(b)], [pa, pb]);
+    (ra, rb)
+}
+
+/// Two-phase makespan (cycles) of a core running `a` for `work_a`
+/// instructions and `b` for `work_b`: both compute at the paired rates
+/// until the faster finishes, then the survivor runs against the
+/// finisher's [`spin_profile`], still under the same priority pair (an
+/// MPI blocking call busy-waits; it does not idle the context).
+///
+/// Returns `(makespan, last)` where `last` is 0 when `a` finishes last
+/// and 1 when `b` does; an exact tie counts as `b`. `None` when a rate is
+/// zero (a starved pair never finishes).
+pub fn pair_makespan(
+    a: &WorkloadProfile,
+    work_a: u64,
+    b: &WorkloadProfile,
+    work_b: u64,
+    pa: HwPriority,
+    pb: HwPriority,
+) -> Option<(f64, usize)> {
+    let (ra, rb) = pair_rates(a, b, pa, pb);
+    if ra <= 0.0 || rb <= 0.0 {
+        return None;
+    }
+    let ta = work_a as f64 / ra;
+    let tb = work_b as f64 / rb;
+    if (ta - tb).abs() < f64::EPSILON {
+        return Some((ta, 1));
+    }
+    // (first finish, survivor's work left, its rate against the spin, survivor)
+    let (first, left, r_surv, last) = if ta < tb {
+        let (_, r) = pair_rates(&spin_profile(), b, pa, pb);
+        (ta, work_b as f64 - ta * rb, r, 1)
+    } else {
+        let (r, _) = pair_rates(a, &spin_profile(), pa, pb);
+        (tb, work_a as f64 - tb * ra, r, 0)
+    };
+    if r_surv <= 0.0 {
+        return None;
+    }
+    Some((first + left.max(0.0) / r_surv, last))
 }
 
 /// Slack added before `floor` when converting fractional progress to whole
@@ -184,83 +340,14 @@ impl MesoCore {
 
     /// Steady-state throughputs (instructions/cycle) of both contexts under
     /// the current priorities and workloads. Pure function of the current
-    /// configuration; exposed for the balancer's what-if predictor.
+    /// configuration; the free functions below ask the same question of
+    /// bare profiles.
     pub fn throughputs(&self) -> [f64; 2] {
-        let w = self.cfg.decode_width;
-        let pa = self.ctx[0].priority;
-        let pb = self.ctx[1].priority;
-        let (sa, sb) = self.cfg.share_law.shares(pa, pb);
-        let shares = [sa, sb];
-
-        let live = [self.ctx[0].live(), self.ctx[1].live()];
-        let mut caps = [0.0f64; 2];
-        for i in 0..2 {
-            if !live[i] {
-                continue;
-            }
-            let prof = &self.ctx[i].workload.as_ref().expect("live").profile;
-            let j = 1 - i;
-            caps[i] = if live[j] {
-                let other = &self.ctx[j].workload.as_ref().expect("live").profile;
-                // The POWER5 priority mechanism gates *resources*, not just
-                // decode: a context holding a small decode share occupies
-                // proportionally fewer issue-queue entries and cache MSHRs,
-                // so the pressure it exerts on its sibling scales with its
-                // share (1.0 at the equal-priority 50/50 split).
-                let pollution = (2.0 * shares[j]).min(1.0);
-                prof.ipc_st
-                    * (1.0
-                        - pollution
-                            * (self.cfg.unit_contention * other.unit_pressure
-                                + self.cfg.mem_contention * other.mem_intensity))
-                        .max(0.05)
-            } else {
-                prof.ipc_st
-            };
-        }
-
-        // Base consumption under hard shares.
-        let base = [caps[0].min(w * shares[0]), caps[1].min(w * shares[1])];
-
-        let mut rates = [0.0f64; 2];
-        for i in 0..2 {
-            if !live[i] {
-                continue;
-            }
-            let j = 1 - i;
-            // Slots the co-runner owns but does not consume.
-            let unused_j = if live[j] {
-                (w * shares[j] - base[j]).max(0.0)
-            } else {
-                // A workless context consumes nothing; its whole share is
-                // up for grabs (it still *owns* the slots unless its
-                // priority is 0, in which case decode_share gave it 0).
-                w * shares[j]
-            };
-            let kappa = self.kappa(i);
-            rates[i] = caps[i].min(w * shares[i] + kappa * unused_j);
-        }
-        rates
-    }
-
-    /// Steal coefficient for context `i` picking up the co-runner's unused
-    /// slots.
-    fn kappa(&self, i: usize) -> f64 {
-        let pi = self.ctx[i].priority.value();
-        let pj = self.ctx[1 - i].priority.value();
-        if pi == 1 && pj > 1 {
-            // Table III: "takes what is left over" — full leftover use.
-            1.0
-        } else if pi >= 1 && pj == 0 {
-            // ST mode: decode_share already grants everything; no stealing
-            // needed (and nothing to steal).
-            0.0
-        } else if pi <= 1 || pj <= 1 {
-            // Power-save and other degenerate modes: strict.
-            0.0
-        } else {
-            self.cfg.steal_efficiency
-        }
+        let profile = |i: usize| self.ctx[i].workload.as_ref().map(|w| &w.profile);
+        self.cfg.rates(
+            [profile(0), profile(1)],
+            [self.ctx[0].priority, self.ctx[1].priority],
+        )
     }
 
     fn refresh(&mut self) {
@@ -666,6 +753,144 @@ mod tests {
         assert!(
             ra_noisy < ra_quiet * 0.8,
             "contention must bite: {ra_noisy} vs {ra_quiet}"
+        );
+    }
+
+    fn dense(ipc: f64) -> WorkloadProfile {
+        WorkloadProfile::new(ipc, 0.05, 0.02)
+    }
+
+    /// Dense, memory-bound and spin profiles: the set the pair-model edge
+    /// tests sweep.
+    fn edge_profiles() -> [WorkloadProfile; 3] {
+        [
+            dense(2.6),
+            WorkloadProfile::new(1.6, 0.2, 0.5),
+            spin_profile(),
+        ]
+    }
+
+    #[test]
+    fn pair_rates_match_the_meso_core() {
+        for a in edge_profiles() {
+            for b in edge_profiles() {
+                for pa in HwPriority::ALL {
+                    for pb in HwPriority::ALL {
+                        let mut core = MesoCore::default();
+                        core.assign(
+                            ThreadId::A,
+                            Workload::with_profile("a", StreamSpec::balanced(0), a),
+                        );
+                        core.assign(
+                            ThreadId::B,
+                            Workload::with_profile("b", StreamSpec::balanced(1), b),
+                        );
+                        core.set_priority(ThreadId::A, pa);
+                        core.set_priority(ThreadId::B, pb);
+                        let [ra, rb] = core.throughputs();
+                        assert_eq!(pair_rates(&a, &b, pa, pb), (ra, rb));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solo_rate_matches_a_core_with_a_workless_sibling() {
+        for prof in edge_profiles() {
+            let mut core = MesoCore::default();
+            core.assign(
+                ThreadId::A,
+                Workload::with_profile("solo", StreamSpec::balanced(0), prof),
+            );
+            assert_eq!(solo_rate(&prof), core.throughputs()[0]);
+        }
+    }
+
+    /// The edge semantics every caller of the pair model relies on, over
+    /// all 64 hardware priority pairs.
+    #[test]
+    fn pair_model_edge_semantics() {
+        const WORK: u64 = 1_000_000;
+        for a in edge_profiles() {
+            for b in edge_profiles() {
+                for pa in HwPriority::ALL {
+                    for pb in HwPriority::ALL {
+                        let (ra, rb) = pair_rates(&a, &b, pa, pb);
+                        let (sb, sa) = pair_rates(&b, &a, pb, pa);
+                        assert_eq!(
+                            (ra.to_bits(), rb.to_bits()),
+                            (sa.to_bits(), sb.to_bits()),
+                            "swap symmetry at {pa:?}/{pb:?}"
+                        );
+                        assert!(ra.is_finite() && ra >= 0.0, "{ra}");
+                        assert!(rb.is_finite() && rb >= 0.0, "{rb}");
+
+                        let ms = pair_makespan(&a, WORK, &b, WORK, pa, pb);
+                        if pa.is_off() || pb.is_off() {
+                            if pa.is_off() {
+                                assert_eq!(ra, 0.0);
+                            }
+                            if pb.is_off() {
+                                assert_eq!(rb, 0.0);
+                            }
+                            assert_eq!(ms, None, "a side at priority 0 never finishes");
+                            continue;
+                        }
+                        assert_eq!(
+                            pair_makespan(&a, 0, &b, 0, pa, pb),
+                            Some((0.0, 1)),
+                            "zero work at {pa:?}/{pb:?}"
+                        );
+                        if a == b && pa == pb {
+                            assert_eq!(ms, Some((WORK as f64 / ra, 1)), "exact tie");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boosting_helps_the_boosted_thread() {
+        let (r_hi, r_lo) = pair_rates(&dense(2.6), &dense(2.6), p(6), p(4));
+        let (r_eq, r_eq_b) = pair_rates(&dense(2.6), &dense(2.6), p(4), p(4));
+        assert_eq!(r_eq, r_eq_b);
+        assert!(r_eq <= 2.5 + 1e-9, "equal share supply bound");
+        assert!(r_hi > r_eq);
+        assert!(r_lo < r_eq);
+    }
+
+    #[test]
+    fn makespan_accounts_for_the_solo_tail() {
+        let t = |work_a: u64| {
+            pair_makespan(&dense(2.6), work_a, &dense(2.6), 1_000_000, p(4), p(4))
+                .expect("both sides decode")
+        };
+        // Balanced work at equal priorities: ends together, no tail.
+        let (t_eq, _) = t(1_000_000);
+        // Heavily skewed work: the light thread finishes early and the
+        // heavy one continues against its spin loop.
+        let (t_skew, last) = t(4_000_000);
+        assert_eq!(last, 0, "the heavy side finishes last");
+        assert!(t_skew > t_eq);
+        assert!(
+            t_skew < 4.0 * t_eq,
+            "the tail against a spin loop still beats 4 sequential phases"
+        );
+    }
+
+    #[test]
+    fn memory_bound_pairs_gain_little_from_priorities() {
+        // The SIESTA story: a 1.6-IPC thread is not decode-limited at
+        // share 1/2, so boosting the partner barely hurts it.
+        let mem = WorkloadProfile::new(1.6, 0.2, 0.5);
+        let (_, r_lo_eq) = pair_rates(&mem, &mem, p(4), p(4));
+        let (_, r_lo_boosted) = pair_rates(&mem, &mem, p(5), p(4));
+        let hit = 1.0 - r_lo_boosted / r_lo_eq;
+        assert!(
+            hit < 0.05,
+            "diff-1 penalty should be tiny for memory-bound code: {hit}"
         );
     }
 

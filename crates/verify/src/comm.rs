@@ -634,7 +634,7 @@ pub fn rank_loads(programs: &[Program]) -> Vec<crate::prio::RankLoad> {
                 work,
                 profile: dominant
                     .map(|(_, p)| p)
-                    .unwrap_or_else(|| mtb_smtsim::model::WorkloadProfile::new(2.0, 0.1, 0.0)),
+                    .unwrap_or_else(mtb_smtsim::perfmodel::spin_profile),
             }
         })
         .collect()

@@ -37,6 +37,7 @@ use mtb_smtsim::inst::{
     L1_LAT, L2_BYTES, L2_LAT, MEM_LAT, UNITS,
 };
 use mtb_smtsim::model::WorkloadProfile;
+use mtb_smtsim::perfmodel::spin_profile;
 
 /// ILP class per *ILP Aware Scheduling*: how much of the core's decode
 /// bandwidth the thread can convert into retirement when running alone.
@@ -152,12 +153,6 @@ impl RankProfile {
     }
 }
 
-/// The profile a compute-free rank (or phase) reports: the MPI busy-wait
-/// spin loop, matching the fallback in [`crate::comm::rank_loads`].
-fn spin() -> WorkloadProfile {
-    WorkloadProfile::new(2.0, 0.1, 0.0)
-}
-
 /// Classify which analytic bound binds a stream spec, mirroring the
 /// bound combination in [`StreamSpec::profile`].
 pub fn classify_bound(spec: &StreamSpec) -> Boundedness {
@@ -246,7 +241,7 @@ impl PhaseAcc {
         };
         let (profile, bound) = match &self.dominant {
             Some((_, spec, prof)) => (*prof, classify_bound(spec)),
-            None => (spin(), Boundedness::Decode),
+            None => (spin_profile(), Boundedness::Decode),
         };
         PhaseProfile {
             epoch,
@@ -301,7 +296,7 @@ fn infer_rank(rank: usize, prog: &Program) -> RankProfile {
     let (profile, bound) = if work > 0 {
         (dominant.profile, dominant.bound)
     } else {
-        (spin(), Boundedness::Decode)
+        (spin_profile(), Boundedness::Decode)
     };
     RankProfile {
         rank,

@@ -9,8 +9,8 @@
 
 use mtbalance::workloads::loads::metbench_load;
 use mtbalance::{
-    cycles_to_seconds, execute, predict_makespan, CtxAddr, PrioritySetting, ProgramBuilder,
-    StaticRun, Table, WorkSpec,
+    cycles_to_seconds, execute, pair_makespan, CtxAddr, HwPriority, PrioritySetting,
+    ProgramBuilder, StaticRun, Table, WorkSpec,
 };
 
 fn main() {
@@ -50,9 +50,17 @@ fn main() {
             )
             .unwrap();
             let sim = cycles_to_seconds(run.total_cycles);
-            let pred =
-                predict_makespan(&load.profile, &load.profile, work_heavy, work_light, ph, pl)
-                    / mtbalance::trace::NOMINAL_CLOCK_HZ;
+            let hw = |p: u8| HwPriority::new(p).expect("OS-settable priority");
+            let (cycles, _) = pair_makespan(
+                &load.profile,
+                work_heavy,
+                &load.profile,
+                work_light,
+                hw(ph),
+                hw(pl),
+            )
+            .expect("priorities 2..=6 never starve a side");
+            let pred = cycles / mtbalance::trace::NOMINAL_CLOCK_HZ;
             if sim < best.2 {
                 best = (ph, pl, sim);
             }
