@@ -842,7 +842,7 @@ impl TwoLevelController {
         if !self.cfg.pinned
             && self.remaps < self.cfg.max_remaps
             && n > 0
-            && n.is_multiple_of(2)
+            && n % 2 == 0
             && n <= cores * 2
             && (0..n).all(|r| machine.pcb(r).is_some())
         {
@@ -886,7 +886,7 @@ impl TwoLevelController {
         let loads = self.balancer.smoothed();
         let n = loads.len();
         let cores = machine.num_contexts() / 2;
-        if n == 0 || !n.is_multiple_of(2) || n > cores * 2 {
+        if n == 0 || n % 2 != 0 || n > cores * 2 {
             return;
         }
         // Per-core load split from the live placement.
@@ -962,7 +962,7 @@ impl Observer for TwoLevelController {
                 return;
             }
         }
-        if !self.epochs_seen.is_multiple_of(self.cfg.window.max(1)) {
+        if self.epochs_seen % self.cfg.window.max(1) != 0 {
             return;
         }
         let agg: Vec<RankWindow> = self

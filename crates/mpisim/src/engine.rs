@@ -530,6 +530,9 @@ pub struct Engine {
     /// not yet dispatched. Kept in ascending rank order per batch so
     /// dispatch order matches the historical full rescan.
     ready: Vec<Rank>,
+    /// The other half of the `ready` double buffer (always empty between
+    /// dispatch passes); kept so neither buffer reallocates per event.
+    ready_spare: Vec<Rank>,
     phase: Vec<TracePhase>,
     comm: CommState,
     epochs: SyncEpochs,
@@ -665,6 +668,7 @@ impl Engine {
             pc: vec![0; n],
             state: vec![RankState::Ready; n],
             ready: (0..n).collect(),
+            ready_spare: Vec::with_capacity(n),
             phase: vec![TracePhase::Body; n],
             comm: CommState::new(n),
             epochs: SyncEpochs::new(n),
@@ -952,10 +956,10 @@ impl Engine {
     /// `n_ranks` rescan per pass. `resolve_completions` pushes in
     /// ascending rank order, so dispatch order matches the old rescan.
     fn dispatch_ready(&mut self, observer: &mut dyn Observer) {
-        let mut batch: Vec<Rank> = Vec::new();
+        // Double-buffer so both vectors keep their capacity across
+        // batches and across calls.
+        let mut batch = std::mem::take(&mut self.ready_spare);
         while !self.ready.is_empty() {
-            // Double-buffer so both vectors keep their capacity across
-            // batches.
             std::mem::swap(&mut batch, &mut self.ready);
             for rank in batch.drain(..) {
                 // A rank can be re-queued only after being dispatched, so
@@ -967,6 +971,7 @@ impl Engine {
             // Epoch releases that happened exactly now unblock waiters.
             self.resolve_completions();
         }
+        self.ready_spare = batch;
     }
 
     fn dispatch_one(&mut self, rank: Rank, observer: &mut dyn Observer) {

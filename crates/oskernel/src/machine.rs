@@ -108,6 +108,12 @@ struct CtxState {
     /// False while spinning in an MPI wait — the spin loop burns decode
     /// slots but accomplishes nothing.
     counting: bool,
+    /// The workload the core handed back when the current noise window
+    /// began ([`CoreModel::take`]). The window's exit re-installs it
+    /// instead of a copy of `installed` while the two still agree. A
+    /// cache only: never snapshotted, and a mismatch falls back to the
+    /// copy.
+    parked: Option<Workload>,
 }
 
 /// What a process does while blocked in an MPI call (Section VI's
@@ -212,6 +218,18 @@ pub struct Machine {
     segmentation: Segmentation,
     /// Reused per-context accounting buffer for [`Machine::advance`].
     acct_scratch: Vec<[CtxAcct; 2]>,
+    /// The shard plan, with each shard's per-domain stepping state that
+    /// persists across epochs. Derived from the core topology once, at
+    /// construction.
+    shards: Vec<ShardScratch>,
+    /// A non-contiguous share-group layout collapsed `shards` to one
+    /// machine-wide shard.
+    sharding_degraded: bool,
+    /// The time every domain calendar is positioned at, while they are
+    /// current: set by each calendar-path epoch, cleared by whatever
+    /// invalidates them (`add_noise`, `restore_state`,
+    /// `set_segmentation`).
+    calendar_at: Option<Cycles>,
 }
 
 /// The stable diagnostic code emitted when a non-contiguous share-group
@@ -225,6 +243,11 @@ impl Machine {
     /// Build a machine over the given cores and kernel.
     pub fn new(cores: Vec<Box<dyn CoreModel>>, kernel: KernelConfig) -> Machine {
         let n = cores.len();
+        let (bounds, sharding_degraded) = Self::shard_plan(&cores);
+        let shards = bounds
+            .windows(2)
+            .map(|w| ShardScratch::new(&cores[w[0]..w[1]]))
+            .collect();
         let mut m = Machine {
             cores,
             kernel,
@@ -240,6 +263,9 @@ impl Machine {
             runner: None,
             segmentation: Segmentation::default(),
             acct_scratch: Vec::with_capacity(n),
+            shards,
+            sharding_degraded,
+            calendar_at: None,
         };
         // Idle contexts start at the kernel's idle priority so they donate
         // their decode bandwidth (Section VI-A case 3).
@@ -287,12 +313,14 @@ impl Machine {
         );
         self.noise_index[src.target.core].push(self.noise.len() as u32);
         self.noise.push(src);
+        self.calendar_at = None;
     }
 
     /// Choose how [`Machine::advance`] segments epochs (see
     /// [`Segmentation`]; results are bit-identical either way).
     pub fn set_segmentation(&mut self, s: Segmentation) {
         self.segmentation = s;
+        self.calendar_at = None;
     }
 
     /// The segmentation strategy in force.
@@ -590,9 +618,21 @@ impl Machine {
         (busy, spin, irq)
     }
 
-    /// The next time >= `t` at which some noise source changes state, if
+    /// The next time > `t` at which some noise source changes state, if
     /// any noise is configured.
+    ///
+    /// At `t == now()` after a calendar-path epoch this is a peek at the
+    /// persistent domain calendars (together they hold a cursor for every
+    /// source, positioned at `now`); any other `t` scans the sources.
     pub fn next_boundary(&self, t: Cycles) -> Option<Cycles> {
+        if self.calendar_at == Some(t) {
+            return self
+                .shards
+                .iter()
+                .flat_map(|s| &s.domains)
+                .filter_map(|d| d.cal.next_boundary())
+                .min();
+        }
         self.noise.iter().filter_map(|s| s.next_boundary(t)).min()
     }
 
@@ -622,7 +662,7 @@ impl Machine {
         let start = self.now;
         let end = start + dt;
         let mode = self.segmentation;
-        let (bounds, _) = Self::shard_plan(&self.cores);
+        let reseed = self.calendar_at != Some(start);
         let Machine {
             cores,
             kernel,
@@ -633,76 +673,51 @@ impl Machine {
             noise_index,
             runner,
             acct_scratch,
+            shards: plan,
             ..
         } = self;
         acct_scratch.clear();
         acct_scratch.resize(cores.len(), [CtxAcct::default(); 2]);
 
-        let use_runner = matches!(runner, Some(r) if r.threads() > 1) && bounds.len() > 2;
-        if use_runner {
-            let runner = runner.as_mut().expect("checked above");
-            let mut shards: Vec<Shard<'_>> = Vec::with_capacity(bounds.len() - 1);
-            let mut cs: &mut [Box<dyn CoreModel>] = cores;
-            let mut ss: &mut [[CtxState; 2]] = ctx_state;
-            let mut accts: &mut [[CtxAcct; 2]] = acct_scratch;
-            let mut owners: &[[Option<usize>; 2]] = ctx_owner;
-            let mut base = 0;
-            for w in bounds.windows(2) {
-                let len = w[1] - w[0];
-                let (ch, cr) = cs.split_at_mut(len);
-                let (sh, sr) = ss.split_at_mut(len);
-                let (ah, ar) = accts.split_at_mut(len);
-                let (oh, or) = owners.split_at(len);
-                shards.push(Shard {
-                    base,
-                    cores: ch,
-                    ctx_state: sh,
-                    acct: ah,
-                    ctx_owner: oh,
-                    procs,
-                    noise,
-                    noise_index,
-                    kernel,
-                    mode,
+        let multi_shard = plan.len() > 1;
+        let mut cs: &mut [Box<dyn CoreModel>] = cores;
+        let mut ss: &mut [[CtxState; 2]] = ctx_state;
+        let mut accts: &mut [[CtxAcct; 2]] = acct_scratch;
+        let mut owners: &[[Option<usize>; 2]] = ctx_owner;
+        let mut base = 0;
+        let (procs_ro, noise, noise_index, kernel) =
+            (&*procs, &noise[..], &noise_index[..], &*kernel);
+        let shards = plan.iter_mut().map(|sc| {
+            let len = sc.len;
+            let (ch, cr) = std::mem::take(&mut cs).split_at_mut(len);
+            let (sh, sr) = std::mem::take(&mut ss).split_at_mut(len);
+            let (ah, ar) = std::mem::take(&mut accts).split_at_mut(len);
+            let (oh, or) = owners.split_at(len);
+            (cs, ss, accts, owners) = (cr, sr, ar, or);
+            let shard = Shard {
+                base,
+                cores: ch,
+                ctx_state: sh,
+                acct: ah,
+                ctx_owner: oh,
+                domains: &mut sc.domains,
+                procs: procs_ro,
+                noise,
+                noise_index,
+                kernel,
+                mode,
+                reseed,
+            };
+            base += len;
+            shard
+        });
+        match runner {
+            Some(r) if r.threads() > 1 && multi_shard => {
+                r.run_epoch(shards.collect(), |_, mut shard| {
+                    shard.advance_epoch(start, end)
                 });
-                cs = cr;
-                ss = sr;
-                accts = ar;
-                owners = or;
-                base += len;
             }
-            runner.run_epoch(shards, |_, mut shard| shard.advance_epoch(start, end));
-        } else {
-            let mut base = 0;
-            let mut cs: &mut [Box<dyn CoreModel>] = cores;
-            let mut ss: &mut [[CtxState; 2]] = ctx_state;
-            let mut accts: &mut [[CtxAcct; 2]] = acct_scratch;
-            let mut owners: &[[Option<usize>; 2]] = ctx_owner;
-            for w in bounds.windows(2) {
-                let len = w[1] - w[0];
-                let (ch, cr) = cs.split_at_mut(len);
-                let (sh, sr) = ss.split_at_mut(len);
-                let (ah, ar) = accts.split_at_mut(len);
-                let (oh, or) = owners.split_at(len);
-                let mut shard = Shard {
-                    base,
-                    cores: ch,
-                    ctx_state: sh,
-                    acct: ah,
-                    ctx_owner: oh,
-                    procs,
-                    noise,
-                    noise_index,
-                    kernel,
-                    mode,
-                };
-                shard.advance_epoch(start, end);
-                cs = cr;
-                ss = sr;
-                accts = ar;
-                owners = or;
-                base += len;
-            }
+            _ => shards.for_each(|mut shard| shard.advance_epoch(start, end)),
         }
 
         // The merge point: fold per-context deltas into the PCBs, in core
@@ -720,6 +735,7 @@ impl Machine {
             }
         }
         self.now = end;
+        self.calendar_at = (mode == Segmentation::Calendar).then_some(end);
     }
 
     /// The shard plan: boundaries (as a fencepost list `[0, ..., n]`)
@@ -754,7 +770,7 @@ impl Machine {
     /// nothing. A property of the core topology alone — independent of
     /// whether a runner is attached or how many threads it has.
     pub fn sharding_degraded(&self) -> bool {
-        Self::shard_plan(&self.cores).1
+        self.sharding_degraded
     }
 
     /// Structured notes about this machine's runtime configuration,
@@ -841,19 +857,87 @@ impl Machine {
                     installed: pair[i].installed.clone(),
                     in_handler: pair[i].in_handler,
                     counting: pair[i].counting,
+                    parked: None,
                 })
             })
             .collect();
         self.now = s.now;
+        self.calendar_at = None;
         Ok(())
     }
 }
 
+/// One shard's place in the shard plan and the stepping state its
+/// conflict domains keep across epochs. Shards tile the core list in
+/// order, so a shard is located by the lengths of those before it.
+struct ShardScratch {
+    /// Number of cores in the shard.
+    len: usize,
+    domains: Vec<Domain>,
+}
+
+impl ShardScratch {
+    /// Split a shard's cores into conflict domains: maximal runs of equal
+    /// `share_group`s, with ungrouped cores standing alone.
+    fn new(cores: &[Box<dyn CoreModel>]) -> ShardScratch {
+        let mut domains = Vec::new();
+        let mut d0 = 0;
+        while d0 < cores.len() {
+            let g = cores[d0].share_group();
+            let mut d1 = d0 + 1;
+            if g.is_some() {
+                while d1 < cores.len() && cores[d1].share_group() == g {
+                    d1 += 1;
+                }
+            }
+            domains.push(Domain::new(d0, d1));
+            d0 = d1;
+        }
+        ShardScratch {
+            len: cores.len(),
+            domains,
+        }
+    }
+}
+
+/// One conflict domain (shard-local cores `d0..d1`) and its stepping
+/// state. `cal` and `counts` persist across epochs: every calendar-path
+/// epoch leaves them positioned at its end, which is the next epoch's
+/// start, so they are reseeded only when the machine invalidates them.
+/// `running` and `mode` are per-epoch scratch, kept only for their
+/// allocations.
+struct Domain {
+    d0: usize,
+    d1: usize,
+    /// Boundary cursors keyed by context slot `(k - d0) * 2 + thread`;
+    /// the foreign sources a shared-L2 domain must cut at use slot `nctx`.
+    cal: BoundaryCalendar,
+    /// Active sources per context slot at the calendar position.
+    counts: Vec<u32>,
+    running: Vec<bool>,
+    mode: Vec<CtxMode>,
+}
+
+impl Domain {
+    fn new(d0: usize, d1: usize) -> Domain {
+        let nctx = (d1 - d0) * 2;
+        Domain {
+            d0,
+            d1,
+            cal: BoundaryCalendar::default(),
+            counts: vec![0; nctx],
+            running: vec![false; nctx],
+            mode: vec![CtxMode::OFF; nctx],
+        }
+    }
+}
+
 /// One shard of an epoch: a contiguous run of cores (whole share-group
-/// domains) with exclusive mutable access to their models, context state
-/// and accounting scratch, plus shared read access to the process table,
-/// noise sources and kernel configuration. Everything a shard mutates it
-/// owns, which is what makes the epoch schedule-independent.
+/// domains) with exclusive mutable access to their models, context state,
+/// accounting scratch and domain state, plus shared read access to the
+/// process table, noise sources and kernel configuration. Everything a
+/// shard mutates it owns, which is what makes the epoch
+/// schedule-independent.
 struct Shard<'a> {
     /// Global index of the first core in this shard; the slices below are
     /// indexed shard-locally.
@@ -862,12 +946,15 @@ struct Shard<'a> {
     ctx_state: &'a mut [[CtxState; 2]],
     acct: &'a mut [[CtxAcct; 2]],
     ctx_owner: &'a [[Option<usize>; 2]],
+    domains: &'a mut [Domain],
     procs: &'a BTreeMap<usize, Pcb>,
     noise: &'a [NoiseSource],
     /// Global per-core source index (`noise_index[global core]`).
     noise_index: &'a [Vec<u32>],
     kernel: &'a KernelConfig,
     mode: Segmentation,
+    /// The domain calendars are not positioned at the epoch start.
+    reseed: bool,
 }
 
 /// Cached per-context accounting decision, recomputed only when the
@@ -962,10 +1049,13 @@ impl Shard<'_> {
 
     /// Event-calendar stepping. The shard's cores are walked one conflict
     /// domain at a time (a maximal run of equal `share_group`s; cores
-    /// without a group stand alone). Each domain builds per-source
-    /// boundary cursors once and merges them through a binary heap, so
-    /// discovering the next boundary is O(log sources) and handler sync
-    /// touches exactly the contexts whose cursors fired.
+    /// without a group stand alone). Each domain keeps per-source
+    /// boundary cursors merged through a binary heap, so discovering the
+    /// next boundary is O(log sources) and handler sync touches exactly
+    /// the contexts whose cursors fired. The cursors persist across
+    /// epochs: the epoch-end drain leaves every cursor exactly at `end`
+    /// (state `active_at(end)`, next boundary `> end`), which is where the
+    /// next epoch starts.
     ///
     /// Exactness: domains share no simulator state with each other, so
     /// stepping them whole-epoch one after another instead of interleaved
@@ -980,95 +1070,66 @@ impl Shard<'_> {
     /// defined by the advance-window granularity (see
     /// `mtb_smtsim::chip`), so its windows must not be fused.
     fn advance_epoch_calendar(&mut self, start: Cycles, end: Cycles) {
-        let mut d0 = 0;
-        while d0 < self.cores.len() {
-            let g = self.cores[d0].share_group();
-            let mut d1 = d0 + 1;
-            if g.is_some() {
-                while d1 < self.cores.len() && self.cores[d1].share_group() == g {
-                    d1 += 1;
-                }
-            }
-            self.advance_domain(d0, d1, start, end);
-            d0 = d1;
+        let domains = std::mem::take(&mut self.domains);
+        for dom in domains.iter_mut() {
+            self.advance_domain(dom, start, end);
         }
+        self.domains = domains;
     }
 
-    /// Step one conflict domain (shard-local cores `d0..d1`) through the
-    /// epoch. See [`Shard::advance_epoch_calendar`] for the exactness
-    /// argument.
-    fn advance_domain(&mut self, d0: usize, d1: usize, start: Cycles, end: Cycles) {
-        let single = d1 - d0 == 1;
-        let nctx = (d1 - d0) * 2;
-        let core_range = if single { d0..d1 } else { 0..self.cores.len() };
-
-        // Source-free fast path: with no boundary anywhere in the range
-        // that could cut this domain, the epoch is one fused segment and
-        // no handler state can change — skip the calendar and its
-        // scratch allocations entirely. This keeps noise-free epochs at
-        // reference cost instead of charging them calendar setup.
-        let quiet = core_range
-            .clone()
-            .all(|k| self.noise_index[self.base + k].is_empty());
-        if quiet {
-            for k in d0..d1 {
-                for th in ThreadId::BOTH {
-                    self.apply_handler_state(k, th, false);
-                }
-            }
-            let seg = end - start;
-            for k in d0..d1 {
-                let modes = [0, 1].map(|ti| {
-                    let running = self.ctx_owner[k][ti]
-                        .is_some_and(|pid| self.procs[&pid].state == ProcRunState::Running);
-                    self.ctx_mode(k, ti, running)
-                });
-                let retired = self.cores[k].advance(seg);
-                for (ti, m) in modes.into_iter().enumerate() {
-                    let a = &mut self.acct[k][ti];
-                    if m.count {
-                        a.retired += retired[ti];
-                    }
-                    match m.bucket {
-                        Bucket::Irq => a.irq += seg,
-                        Bucket::Busy => a.busy += seg,
-                        Bucket::Spin => a.spin += seg,
-                        Bucket::Off => {}
-                    }
-                }
-            }
-            return;
-        }
-
-        // Seed cursors. A single-core domain only ever cuts at its own
-        // two contexts' boundaries; a multi-core domain must cut at every
-        // boundary the *shard* owns (reference cut parity), with foreign
-        // contexts mapped to the ignore slot `nctx`.
-        let mut cal = BoundaryCalendar::with_capacity(nctx);
-        let mut counts = vec![0u32; nctx];
+    /// Seed a domain's cursors at `t`. A single-core domain only ever
+    /// cuts at its own two contexts' boundaries; a multi-core domain must
+    /// cut at every boundary the *shard* owns (reference cut parity),
+    /// with foreign contexts mapped to the ignore slot `nctx`.
+    fn seed_domain(&self, dom: &mut Domain, t: Cycles) {
+        let (d0, d1) = (dom.d0, dom.d1);
+        let nctx = dom.counts.len();
+        let core_range = if d1 - d0 == 1 {
+            d0..d1
+        } else {
+            0..self.cores.len()
+        };
+        dom.cal.clear();
+        dom.counts.fill(0);
         for k in core_range {
             for &i in &self.noise_index[self.base + k] {
                 let s = &self.noise[i as usize];
-                let ti = s.target.thread.index();
                 let slot = if (d0..d1).contains(&k) {
-                    (k - d0) * 2 + ti
+                    (k - d0) * 2 + s.target.thread.index()
                 } else {
                     nctx
                 };
-                let cur = s.cursor_at(start);
+                let cur = s.cursor_at(t);
                 if slot < nctx && cur.active() {
-                    counts[slot] += 1;
+                    dom.counts[slot] += 1;
                 }
-                cal.push(slot, cur);
+                dom.cal.push(slot, cur);
             }
         }
+    }
+
+    /// Step one conflict domain through the epoch. See
+    /// [`Shard::advance_epoch_calendar`] for the exactness argument.
+    fn advance_domain(&mut self, dom: &mut Domain, start: Cycles, end: Cycles) {
+        if self.reseed {
+            self.seed_domain(dom, start);
+        }
+        let Domain {
+            d0,
+            d1,
+            cal,
+            counts,
+            running,
+            mode,
+        } = dom;
+        let (d0, d1) = (*d0, *d1);
+        let single = d1 - d0 == 1;
+        let nctx = counts.len();
 
         // Epoch-start handler sync (what the reference's first
         // `sync_handlers(t)` call does for these contexts), then cache
         // the run state and accounting mode per context — neither can
         // change mid-epoch except at handler flips.
-        let mut running = vec![false; nctx];
-        let mut mode = vec![CtxMode::OFF; nctx];
         for k in d0..d1 {
             for th in ThreadId::BOTH {
                 let ti = th.index();
@@ -1151,6 +1212,8 @@ impl Shard<'_> {
 
         // Epoch-end sync (the reference's trailing `sync_handlers(end)`):
         // drain boundaries falling exactly on the epoch bound, then apply.
+        // This also leaves the calendar positioned at `end` for the next
+        // epoch.
         cal.advance_to(end, |slot, active| {
             if slot < nctx {
                 if active {
@@ -1229,7 +1292,7 @@ impl Shard<'_> {
         let st = &mut self.ctx_state[k][thread.index()];
         st.in_handler = true;
         // The pinned process stops making progress for the window.
-        self.cores[k].clear(thread);
+        st.parked = self.cores[k].take(thread);
         // Stock kernels reset the hardware priority to MEDIUM on handler
         // entry (Section VI-A); the patch removed that code.
         if self.kernel.flavour.resets_priority_on_interrupt() {
@@ -1239,10 +1302,17 @@ impl Shard<'_> {
 
     fn exit_handler(&mut self, k: usize, thread: ThreadId) {
         let ti = thread.index();
-        self.ctx_state[k][ti].in_handler = false;
-        let installed = self.ctx_state[k][ti].installed.clone();
-        match installed {
-            Some(w) => {
+        let st = &mut self.ctx_state[k][ti];
+        st.in_handler = false;
+        let parked = st.parked.take();
+        match &st.installed {
+            Some(installed) => {
+                // Re-install without copying when the parked workload is
+                // still the one the process wants.
+                let w = match parked {
+                    Some(w) if w == *installed => w,
+                    _ => installed.clone(),
+                };
                 let pid = self.ctx_owner[k][ti].expect("installed implies owner");
                 let wish = self.procs[&pid].hmt_priority;
                 self.cores[k].assign(thread, w);

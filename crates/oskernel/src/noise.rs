@@ -168,9 +168,9 @@ impl NoiseSource {
 /// advances boundary-to-boundary in O(1) — every source is periodic (a
 /// window of `cost` every `period`) or one-shot, so the boundary after a
 /// window end is always `period - cost` later and the boundary after an
-/// activation is `cost` later. The machine's calendar segmentation
-/// builds one cursor per source at each epoch start instead of
-/// re-deriving `next_boundary` arithmetic per segment.
+/// activation is `cost` later. The machine's calendar segmentation seeds
+/// one cursor per source once and then carries it across epochs instead
+/// of re-deriving `next_boundary` arithmetic per segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoiseCursor {
     period: Cycles,
@@ -248,6 +248,12 @@ impl BoundaryCalendar {
     /// True when no cursors were added.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
+    }
+
+    /// Remove every cursor, keeping the allocations for reseeding.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.heap.clear();
     }
 
     /// Add a cursor under `key`.

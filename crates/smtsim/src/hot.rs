@@ -322,7 +322,7 @@ fn can_dec(
     base && q.len() < buf
         && c.fetch_stall_until <= now
         && q.first()
-            .is_none_or(|&s| seq - slab[s as usize].seq + gct_slack <= window)
+            .map_or(true, |&s| seq - slab[s as usize].seq + gct_slack <= window)
 }
 
 /// Advance `core` to `end` on the hot engine. Returns `false` — with the

@@ -147,6 +147,15 @@ pub trait CoreModel: Send {
     /// nothing until the next [`CoreModel::assign`].
     fn clear(&mut self, t: ThreadId);
 
+    /// Clear a context exactly as [`CoreModel::clear`] does, handing back
+    /// the removed workload when the model keeps it whole. The machine
+    /// parks it across an interrupt window and re-installs it afterwards
+    /// without copying. The default clears and returns `None`.
+    fn take(&mut self, t: ThreadId) -> Option<Workload> {
+        self.clear(t);
+        None
+    }
+
     /// Does the context currently have a workload installed?
     fn has_work(&self, t: ThreadId) -> bool;
 

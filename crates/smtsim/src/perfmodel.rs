@@ -402,11 +402,15 @@ impl CoreModel for MesoCore {
     }
 
     fn clear(&mut self, t: ThreadId) {
+        self.take(t);
+    }
+
+    fn take(&mut self, t: ThreadId) -> Option<Workload> {
         self.reanchor();
         let c = &mut self.ctx[t.index()];
-        c.workload = None;
         c.carry = 0.0;
         self.dirty = true;
+        c.workload.take()
     }
 
     fn has_work(&self, t: ThreadId) -> bool {

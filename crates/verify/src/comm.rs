@@ -625,7 +625,7 @@ pub fn rank_loads(programs: &[Program]) -> Vec<crate::prio::RankLoad> {
             for op in flatten(prog, rank) {
                 if let FlatOp::Compute(ws) = op {
                     work += ws.instructions;
-                    if dominant.is_none_or(|(w, _)| ws.instructions > w) {
+                    if dominant.map_or(true, |(w, _)| ws.instructions > w) {
                         dominant = Some((ws.instructions, ws.workload.profile));
                     }
                 }

@@ -352,7 +352,7 @@ pub fn check_plan(case: &CaseSpec, profiles: &[RankProfile]) -> Report {
             if let Some(p) = predict(profiles, &plan.placement, &plan.priorities) {
                 if best_alternative
                     .as_ref()
-                    .is_none_or(|(_, t)| p.makespan < *t)
+                    .map_or(true, |(_, t)| p.makespan < *t)
                 {
                     best_alternative = Some((plan, p.makespan));
                 }

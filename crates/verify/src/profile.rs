@@ -223,7 +223,7 @@ impl PhaseAcc {
         if self
             .dominant
             .as_ref()
-            .is_none_or(|(w, _, _)| ws.instructions > *w)
+            .map_or(true, |(w, _, _)| ws.instructions > *w)
         {
             self.dominant = Some((ws.instructions, ws.workload.stream, ws.workload.profile));
         }
