@@ -16,7 +16,9 @@
 //! cycles/second, and the speedup; sweep summaries aggregate by total
 //! wall-clock ratio and by geometric mean of the per-case speedups.
 //! A sweep with *any* drift (non-identical outputs) is a failure — the
-//! speedup of a wrong simulation is meaningless.
+//! speedup of a wrong simulation is meaningless. The report names the
+//! [`Host`] it was measured on, so timings from different machines are
+//! never compared.
 
 use crate::json::Json;
 use crate::lint::record_hash;
@@ -40,6 +42,7 @@ use mtb_workloads::siesta::SiestaConfig;
 use mtb_workloads::MetBenchConfig;
 
 use std::path::Path;
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -180,11 +183,65 @@ impl SweepSummary {
     }
 }
 
+/// The machine and toolchain a report was measured on.
+#[derive(Debug, Clone)]
+pub struct Host {
+    /// Logical CPUs available to the process.
+    pub cpus: usize,
+    /// `rustc --version`, or `"unknown"` when no `rustc` runs.
+    pub rustc: String,
+    /// `git rev-parse HEAD` of the working directory, with `-dirty` when
+    /// tracked files differ from it; `"none"` outside a git checkout.
+    pub git_rev: String,
+}
+
+impl Host {
+    /// Read the host's CPU count, compiler and source revision now.
+    pub fn detect() -> Host {
+        let run = |cmd: &str, args: &[&str]| {
+            let out = Command::new(cmd).args(args).output().ok()?;
+            out.status
+                .success()
+                .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        };
+        let git_rev = match run("git", &["rev-parse", "HEAD"]) {
+            Some(rev) => match run("git", &["status", "--porcelain", "--untracked-files=no"]) {
+                Some(changes) if !changes.is_empty() => format!("{rev}-dirty"),
+                _ => rev,
+            },
+            None => "none".into(),
+        };
+        Host {
+            cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            rustc: run("rustc", &["--version"]).unwrap_or_else(|| "unknown".into()),
+            git_rev,
+        }
+    }
+
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("cpus".into(), Json::UInt(self.cpus as u64)),
+            ("rustc".into(), Json::Str(self.rustc.clone())),
+            ("git_rev".into(), Json::Str(self.git_rev.clone())),
+        ])
+    }
+
+    /// One-line summary, as the report and the CI gates print it.
+    pub fn line(&self) -> String {
+        format!(
+            "host: {} cpus, {}, git {}",
+            self.cpus, self.rustc, self.git_rev
+        )
+    }
+}
+
 /// The full benchmark report.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Smoke mode (reduced cycle counts)?
     pub smoke: bool,
+    /// Where the timings were measured.
+    pub host: Host,
     /// Every measured case.
     pub entries: Vec<BenchEntry>,
 }
@@ -223,6 +280,7 @@ impl BenchReport {
             ("schema".into(), Json::UInt(crate::harness::SCHEMA_VERSION)),
             ("kind".into(), Json::Str("mtb-bench".into())),
             ("smoke".into(), Json::Bool(self.smoke)),
+            ("host".into(), self.host.to_json()),
             ("all_identical".into(), Json::Bool(self.all_identical())),
             (
                 "sweeps".into(),
@@ -238,7 +296,8 @@ impl BenchReport {
 
     /// Human-readable summary table.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = self.host.line();
+        out.push('\n');
         out.push_str(&format!(
             "{:22} {:>6} {:>11} {:>11} {:>9} {:>9}  drift\n",
             "sweep", "cases", "ref wall", "fast wall", "total", "geomean"
@@ -748,7 +807,11 @@ pub fn run(smoke: bool) -> BenchReport {
     // three cases' compute mixes under dense noise, full-state identity.
     kernel_path_sweeps(smoke, &mut entries);
 
-    BenchReport { smoke, entries }
+    BenchReport {
+        smoke,
+        host: Host::detect(),
+        entries,
+    }
 }
 
 #[cfg(test)]
@@ -819,6 +882,11 @@ mod tests {
     fn report_aggregates_and_serializes() {
         let report = BenchReport {
             smoke: true,
+            host: Host {
+                cpus: 2,
+                rustc: "rustc 1.75.0".into(),
+                git_rev: "none".into(),
+            },
             entries: vec![
                 BenchEntry {
                     sweep: "s",
@@ -847,6 +915,12 @@ mod tests {
         assert!(s.all_identical);
         let doc = crate::json::Json::parse(&report.to_json()).expect("valid json");
         assert_eq!(doc.get("kind").and_then(|j| j.as_str()), Some("mtb-bench"));
+        let host = doc.get("host").expect("host stamp");
+        assert_eq!(host.get("cpus").and_then(|j| j.as_u64()), Some(2));
+        assert_eq!(host.get("git_rev").and_then(|j| j.as_str()), Some("none"));
+        assert!(report
+            .render()
+            .starts_with("host: 2 cpus, rustc 1.75.0, git none\n"));
         assert_eq!(
             doc.get("sweeps").and_then(|j| j.as_arr()).map(|a| a.len()),
             Some(1)

@@ -17,8 +17,6 @@
 //! clobbered to MEDIUM and *stays there* afterwards, which is precisely
 //! why the paper had to patch the kernel (Section VI).
 
-use std::collections::BTreeMap;
-
 use crate::kernel::KernelConfig;
 use crate::noise::{BoundaryCalendar, NoiseSource};
 use crate::priority_iface::{validate, PriorityError, SetVia};
@@ -201,7 +199,7 @@ pub fn spin_workload() -> Workload {
 pub struct Machine {
     cores: Vec<Box<dyn CoreModel>>,
     kernel: KernelConfig,
-    procs: BTreeMap<usize, Pcb>,
+    procs: ProcTable,
     /// `ctx_owner[core][thread] = pid`.
     ctx_owner: Vec<[Option<usize>; 2]>,
     ctx_state: Vec<[CtxState; 2]>,
@@ -251,7 +249,7 @@ impl Machine {
         let mut m = Machine {
             cores,
             kernel,
-            procs: BTreeMap::new(),
+            procs: ProcTable::new(2 * n),
             ctx_owner: (0..n).map(|_| [None, None]).collect(),
             ctx_state: (0..n)
                 .map(|_| [CtxState::default(), CtxState::default()])
@@ -328,7 +326,9 @@ impl Machine {
         self.segmentation
     }
 
-    /// Create a process pinned to `affinity`.
+    /// Create a process pinned to `affinity`. The process table is
+    /// indexed by pid, so pids are expected to be small (engines use
+    /// their rank numbers).
     pub fn spawn(
         &mut self,
         pid: usize,
@@ -338,7 +338,7 @@ impl Machine {
         if affinity.core >= self.cores.len() {
             return Err(MachineError::NoSuchContext);
         }
-        if self.procs.contains_key(&pid) {
+        if self.procs.get(pid).is_some() {
             return Err(MachineError::DuplicatePid);
         }
         let slot = &mut self.ctx_owner[affinity.core][affinity.thread.index()];
@@ -346,23 +346,23 @@ impl Machine {
             return Err(MachineError::ContextBusy);
         }
         *slot = Some(pid);
-        self.procs.insert(pid, Pcb::new(pid, name, affinity));
+        self.procs.insert(Pcb::new(pid, name, affinity));
         Ok(())
     }
 
     /// The process control block for `pid`.
     pub fn pcb(&self, pid: usize) -> Option<&Pcb> {
-        self.procs.get(&pid)
+        self.procs.get(pid)
     }
 
     /// All pids, ascending.
     pub fn pids(&self) -> Vec<usize> {
-        self.procs.keys().copied().collect()
+        self.procs.iter().map(|p| p.pid).collect()
     }
 
     /// Total instructions retired on behalf of `pid`.
     pub fn retired(&self, pid: usize) -> u64 {
-        self.procs.get(&pid).map_or(0, |p| p.retired)
+        self.procs.get(pid).map_or(0, |p| p.retired)
     }
 
     /// The hardware priority currently carried by a context (what the
@@ -394,7 +394,7 @@ impl Machine {
     fn apply_wish(&mut self, pid: usize, p: HwPriority) -> Result<(), PriorityError> {
         let pcb = self
             .procs
-            .get_mut(&pid)
+            .get_mut(pid)
             .ok_or(PriorityError::NoSuchProcess)?;
         pcb.hmt_priority = p;
         let addr = pcb.affinity;
@@ -441,7 +441,7 @@ impl Machine {
                     level,
                     SetVia::OrNop(PrivilegeLevel::User),
                 ) {
-                    let addr = self.procs[&pid].affinity;
+                    let addr = self.procs[pid].affinity;
                     if !self.ctx_state[addr.core][addr.thread.index()].in_handler {
                         self.cores[addr.core].set_priority(addr.thread, p);
                     }
@@ -461,10 +461,7 @@ impl Machine {
     }
 
     fn install(&mut self, pid: usize, w: Workload, counting: bool) -> Result<(), MachineError> {
-        let pcb = self
-            .procs
-            .get_mut(&pid)
-            .ok_or(MachineError::NoSuchProcess)?;
+        let pcb = self.procs.get_mut(pid).ok_or(MachineError::NoSuchProcess)?;
         pcb.state = ProcRunState::Running;
         let addr = pcb.affinity;
         let wish = pcb.hmt_priority;
@@ -491,10 +488,7 @@ impl Machine {
     }
 
     fn stop(&mut self, pid: usize, state: ProcRunState) -> Result<(), MachineError> {
-        let pcb = self
-            .procs
-            .get_mut(&pid)
-            .ok_or(MachineError::NoSuchProcess)?;
+        let pcb = self.procs.get_mut(pid).ok_or(MachineError::NoSuchProcess)?;
         pcb.state = state;
         let addr = pcb.affinity;
         let st = &mut self.ctx_state[addr.core][addr.thread.index()];
@@ -511,7 +505,7 @@ impl Machine {
     /// in-handler flag, which belongs to the context, not the process) and
     /// the process's installed workload/counting state is returned.
     fn detach(&mut self, pid: usize) -> (CtxAddr, Option<Workload>, bool) {
-        let from = self.procs[&pid].affinity;
+        let from = self.procs[pid].affinity;
         let (fi, ft) = (from.core, from.thread.index());
         self.ctx_owner[fi][ft] = None;
         let installed = self.ctx_state[fi][ft].installed.take();
@@ -528,7 +522,7 @@ impl Machine {
     fn attach(&mut self, pid: usize, to: CtxAddr, installed: Option<Workload>, counting: bool) {
         debug_assert!(self.ctx_owner[to.core][to.thread.index()].is_none());
         self.ctx_owner[to.core][to.thread.index()] = Some(pid);
-        let pcb = self.procs.get_mut(&pid).expect("pid exists");
+        let pcb = self.procs.get_mut(pid).expect("pid exists");
         pcb.affinity = to;
         let wish = pcb.hmt_priority;
         let running = pcb.state == ProcRunState::Running;
@@ -557,10 +551,10 @@ impl Machine {
         if to.core >= self.cores.len() {
             return Err(MachineError::NoSuchContext);
         }
-        if !self.procs.contains_key(&pid) {
+        if self.procs.get(pid).is_none() {
             return Err(MachineError::NoSuchProcess);
         }
-        if self.procs[&pid].affinity == to {
+        if self.procs[pid].affinity == to {
             return Ok(());
         }
         if self.ctx_owner[to.core][to.thread.index()].is_some() {
@@ -573,7 +567,7 @@ impl Machine {
 
     /// Swap the contexts of two processes (atomic pairwise migration).
     pub fn swap(&mut self, pid_a: usize, pid_b: usize) -> Result<(), MachineError> {
-        if !self.procs.contains_key(&pid_a) || !self.procs.contains_key(&pid_b) {
+        if self.procs.get(pid_a).is_none() || self.procs.get(pid_b).is_none() {
             return Err(MachineError::NoSuchProcess);
         }
         if pid_a == pid_b {
@@ -590,7 +584,7 @@ impl Machine {
     /// instructions, ignoring future noise windows (the caller bounds steps
     /// with [`Machine::next_boundary`]).
     pub fn cycles_to_retire(&self, pid: usize, n: u64) -> Option<Cycles> {
-        let pcb = self.procs.get(&pid)?;
+        let pcb = self.procs.get(pid)?;
         if pcb.state != ProcRunState::Running {
             return None;
         }
@@ -610,7 +604,7 @@ impl Machine {
         let mut busy = 0;
         let mut spin = 0;
         let mut irq = 0;
-        for p in self.procs.values() {
+        for p in self.procs.iter() {
             busy += p.busy_cycles;
             spin += p.spin_cycles;
             irq += p.interrupt_cycles;
@@ -726,7 +720,7 @@ impl Machine {
             for t in ThreadId::BOTH {
                 if let Some(pid) = ctx_owner[core_idx][t.index()] {
                     let a = pair[t.index()];
-                    let pcb = procs.get_mut(&pid).expect("owner pid exists");
+                    let pcb = procs.get_mut(pid).expect("owner pid exists");
                     pcb.retired += a.retired;
                     pcb.busy_cycles += a.busy;
                     pcb.spin_cycles += a.spin;
@@ -795,7 +789,7 @@ impl Machine {
         MachineState {
             now: self.now,
             cores: self.cores.iter().map(|c| c.save_state()).collect(),
-            procs: self.procs.values().cloned().collect(),
+            procs: self.procs.iter().cloned().collect(),
             ctx_owner: self.ctx_owner.clone(),
             ctx_state: self
                 .ctx_state
@@ -825,21 +819,25 @@ impl Machine {
                 s.ctx_state.len()
             ));
         }
-        let mut procs = BTreeMap::new();
+        let mut procs = ProcTable::new(2 * n);
         for pcb in &s.procs {
+            if pcb.pid >= PID_LIMIT {
+                return Err(format!("pid {} beyond the pid limit {PID_LIMIT}", pcb.pid));
+            }
             if pcb.affinity.core >= n {
                 return Err(format!(
                     "pid {} pinned to core {} of a {n}-core machine",
                     pcb.pid, pcb.affinity.core
                 ));
             }
-            if procs.insert(pcb.pid, pcb.clone()).is_some() {
+            if procs.get(pcb.pid).is_some() {
                 return Err(format!("duplicate pid {} in snapshot", pcb.pid));
             }
+            procs.insert(pcb.clone());
         }
         for owners in &s.ctx_owner {
-            for pid in owners.iter().flatten() {
-                if !procs.contains_key(pid) {
+            for &pid in owners.iter().flatten() {
+                if procs.get(pid).is_none() {
                     return Err(format!("context owner pid {pid} not in process table"));
                 }
             }
@@ -864,6 +862,55 @@ impl Machine {
         self.now = s.now;
         self.calendar_at = None;
         Ok(())
+    }
+}
+
+/// The largest process table a snapshot may make `restore_state` build:
+/// Linux's own pid limit on 64-bit hosts.
+const PID_LIMIT: usize = 1 << 22;
+
+/// The process table: PCBs indexed by pid. Engines number their ranks
+/// from 0, one per hardware context, so the table starts with a slot per
+/// context and grows only for a pid beyond that.
+struct ProcTable {
+    slots: Vec<Option<Pcb>>,
+}
+
+impl ProcTable {
+    fn new(slots: usize) -> ProcTable {
+        ProcTable {
+            slots: (0..slots).map(|_| None).collect(),
+        }
+    }
+
+    fn get(&self, pid: usize) -> Option<&Pcb> {
+        self.slots.get(pid)?.as_ref()
+    }
+
+    fn get_mut(&mut self, pid: usize) -> Option<&mut Pcb> {
+        self.slots.get_mut(pid)?.as_mut()
+    }
+
+    /// Put `pcb` in its pid's slot, replacing any occupant.
+    fn insert(&mut self, pcb: Pcb) {
+        let pid = pcb.pid;
+        if pid >= self.slots.len() {
+            self.slots.resize_with(pid + 1, || None);
+        }
+        self.slots[pid] = Some(pcb);
+    }
+
+    /// Every process, ascending pid.
+    fn iter(&self) -> impl Iterator<Item = &Pcb> {
+        self.slots.iter().flatten()
+    }
+}
+
+impl std::ops::Index<usize> for ProcTable {
+    type Output = Pcb;
+
+    fn index(&self, pid: usize) -> &Pcb {
+        self.get(pid).expect("pid exists")
     }
 }
 
@@ -947,7 +994,7 @@ struct Shard<'a> {
     acct: &'a mut [[CtxAcct; 2]],
     ctx_owner: &'a [[Option<usize>; 2]],
     domains: &'a mut [Domain],
-    procs: &'a BTreeMap<usize, Pcb>,
+    procs: &'a ProcTable,
     noise: &'a [NoiseSource],
     /// Global per-core source index (`noise_index[global core]`).
     noise_index: &'a [Vec<u32>],
@@ -1026,7 +1073,7 @@ impl Shard<'_> {
                         continue;
                     };
                     let st = &self.ctx_state[k][ti];
-                    let running = self.procs[&pid].state == ProcRunState::Running;
+                    let running = self.procs[pid].state == ProcRunState::Running;
                     let a = &mut self.acct[k][ti];
                     if st.counting {
                         a.retired += retired[ti];
@@ -1136,7 +1183,7 @@ impl Shard<'_> {
                 let slot = (k - d0) * 2 + ti;
                 self.apply_handler_state(k, th, counts[slot] > 0);
                 running[slot] = self.ctx_owner[k][ti]
-                    .is_some_and(|pid| self.procs[&pid].state == ProcRunState::Running);
+                    .is_some_and(|pid| self.procs[pid].state == ProcRunState::Running);
                 mode[slot] = self.ctx_mode(k, ti, running[slot]);
             }
         }
@@ -1314,7 +1361,7 @@ impl Shard<'_> {
                     _ => installed.clone(),
                 };
                 let pid = self.ctx_owner[k][ti].expect("installed implies owner");
-                let wish = self.procs[&pid].hmt_priority;
+                let wish = self.procs[pid].hmt_priority;
                 self.cores[k].assign(thread, w);
                 // Vanilla: the kernel does not know the previous priority,
                 // so the context stays at the handler value. Patched: the
@@ -1837,6 +1884,26 @@ mod tests {
 
         let mut cycle = Machine::new(build_cores(2, true), KernelConfig::patched());
         assert!(cycle.restore_state(&snap).is_err(), "fidelity mismatch");
+    }
+
+    #[test]
+    fn process_table_grows_for_large_pids_and_bounds_snapshots() {
+        let mut m = meso_machine(KernelConfig::patched());
+        m.spawn(1000, "P", CtxAddr::from_cpu(3)).unwrap();
+        m.spawn(0, "Q", CtxAddr::from_cpu(0)).unwrap();
+        assert_eq!(m.pids(), vec![0, 1000]);
+        assert_eq!(
+            m.spawn(1000, "R", CtxAddr::from_cpu(1)),
+            Err(MachineError::DuplicatePid)
+        );
+        let mut snap = m.save_state();
+        let mut other = meso_machine(KernelConfig::patched());
+        other.restore_state(&snap).unwrap();
+        assert_eq!(other.save_state(), snap);
+
+        snap.procs[1].pid = PID_LIMIT;
+        snap.ctx_owner[1][1] = Some(PID_LIMIT);
+        assert!(other.restore_state(&snap).is_err());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Zero-allocation guard for the noise path: once warmed up,
 //! `Machine::advance` on the sequential path must not touch the heap, even
-//! when an epoch enters or leaves an interrupt handler. The engine steps
+//! when an epoch enters or leaves an interrupt handler, and neither must
+//! the per-rank queries the engine makes between epochs. The engine steps
 //! a noisy run one noise boundary at a time, so any per-epoch allocation
 //! is paid millions of times per run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mtb_oskernel::noise::interrupt_annoyance;
@@ -75,6 +77,16 @@ fn step_to_boundary(m: &mut Machine) {
     m.advance(nb - now);
 }
 
+/// Ask what the engine asks of every rank after each event: its retired
+/// count (`resolve_completions`) and the cycles until it reaches its
+/// compute target (`Engine::next_event`).
+fn query_ranks(m: &Machine, target: u64) {
+    for pid in 0..4 {
+        let remaining = target.saturating_sub(black_box(m.retired(pid)));
+        black_box(m.cycles_to_retire(pid, remaining.max(1)));
+    }
+}
+
 #[test]
 fn steady_state_noise_epochs_do_not_allocate() {
     // Two mesoscale cores, four ranks, under the `mtb run --noise 5`
@@ -103,10 +115,13 @@ fn steady_state_noise_epochs_do_not_allocate() {
     // Warm-up epoch: seeds the calendars and sizes the scratch.
     step_to_boundary(&mut m);
     let before: Vec<_> = (0..4).map(|pid| m.pcb(pid).unwrap().clone()).collect();
+    // A compute target far beyond the run, so every query has an answer.
+    let target = 1 << 40;
 
     const EPOCHS: usize = 10_000;
     let allocs = allocations_in(|| {
         for _ in 0..EPOCHS {
+            query_ranks(&m, target);
             step_to_boundary(&mut m);
         }
     });

@@ -43,6 +43,7 @@ use crate::model::{CoreModel, ThreadId, Workload, WorkloadProfile};
 use crate::priority::HwPriority;
 use crate::state::{CoreState, MesoCoreState, MesoCtxState};
 use crate::Cycles;
+use std::cell::{Cell, RefCell};
 
 /// Which priority-to-decode-share law the model applies (EXT-5 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -240,10 +241,59 @@ pub fn pair_makespan(
     Some((first + left.max(0.0) / r_surv, last))
 }
 
-/// Slack added before `floor` when converting fractional progress to whole
-/// instructions, so products like `0.3 * 700.0` that land an ulp below an
-/// integer still count it. Small enough to never span a real instruction.
+/// Slack added before truncation when converting fractional progress to
+/// whole instructions, so products like `0.3 * 700.0` that land an ulp
+/// below an integer still count it. Small enough to never span a real
+/// instruction.
 const FLOOR_EPS: f64 = 1e-9;
+
+/// Bitwise equality of two memo keys, folded without branches or a
+/// `memcmp` call: a memo lookup sits on every engine event.
+fn same_key<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
+    a.iter().zip(b).fold(0, |d, (x, y)| d | (x ^ y)) == 0
+}
+
+/// The inputs [`MesoConfig::rates`] reads, as bits: each context's
+/// `ipc_st`, `unit_pressure` and `mem_intensity` (zero when workless),
+/// then one word holding per context its priority plus 8 when a workload
+/// is installed, context B shifted up a byte.
+type RateKey = [u64; 7];
+
+/// Number of rate pairs a core remembers. A handler window on either
+/// context moves a core among at most four configurations (each context
+/// with or without its workload), so a steady noise pattern always hits.
+const RATE_MEMO: usize = 4;
+
+/// Rate pairs of recent configurations, replaced round-robin. Rates are
+/// a pure function of the key, so a hit is exact.
+#[derive(Debug, Clone)]
+struct RateMemo {
+    keys: [RateKey; RATE_MEMO],
+    rates: [[f64; 2]; RATE_MEMO],
+    next: usize,
+}
+
+impl RateMemo {
+    fn new() -> RateMemo {
+        RateMemo {
+            // No configuration has a tag word of all ones.
+            keys: [[0, 0, 0, 0, 0, 0, u64::MAX]; RATE_MEMO],
+            rates: [[0.0; 2]; RATE_MEMO],
+            next: 0,
+        }
+    }
+}
+
+/// Where a context's progress first reaches a retirement target: the
+/// least absolute cycle `at` with `progress_at(rate, at) >= target`,
+/// valid while the anchor, carry and rate in `key` hold.
+#[derive(Debug, Clone, Copy)]
+struct Crossing {
+    /// `(anchor_cycle, anchor_retired, carry bits, rate bits, target)`,
+    /// with the target in whole instructions past the anchor.
+    key: [u64; 5],
+    at: Cycles,
+}
 
 #[derive(Debug, Clone)]
 struct MesoCtx {
@@ -256,6 +306,8 @@ struct MesoCtx {
     /// Retired count at the last re-anchor.
     anchor_retired: u64,
     retired: u64,
+    /// The last exact answer of `cycles_to_retire`; a memo only.
+    crossing: Cell<Option<Crossing>>,
 }
 
 impl MesoCtx {
@@ -267,6 +319,7 @@ impl MesoCtx {
             anchor_cycle: 0,
             anchor_retired: 0,
             retired: 0,
+            crossing: Cell::new(None),
         }
     }
 
@@ -278,7 +331,9 @@ impl MesoCtx {
     /// including the rounding slack. Evaluated as one expression of the
     /// absolute elapsed time so that advancing in any segmentation — one
     /// big event-horizon jump or many quantum steps — lands on the same
-    /// value at every intermediate cycle.
+    /// value at every intermediate cycle. Non-decreasing in `cycle` for
+    /// `rate >= 0`: every step (`u64 -> f64`, the product, the sums)
+    /// rounds monotonically.
     fn progress_at(&self, rate: f64, cycle: Cycles) -> f64 {
         self.carry + rate * (cycle - self.anchor_cycle) as f64 + FLOOR_EPS
     }
@@ -306,9 +361,10 @@ pub struct MesoCore {
     cfg: MesoConfig,
     ctx: [MesoCtx; 2],
     cycle: Cycles,
-    /// Cached per-context rates; recomputed when configuration changes.
-    rates: [f64; 2],
-    dirty: bool,
+    /// Per-context rates of the current configuration; `None` after a
+    /// configuration change until something asks for them.
+    rates: Cell<Option<[f64; 2]>>,
+    rate_memo: RefCell<RateMemo>,
 }
 
 impl MesoCore {
@@ -318,8 +374,8 @@ impl MesoCore {
             cfg,
             ctx: [MesoCtx::new(), MesoCtx::new()],
             cycle: 0,
-            rates: [0.0; 2],
-            dirty: true,
+            rates: Cell::new(None),
+            rate_memo: RefCell::new(RateMemo::new()),
         }
     }
 
@@ -350,11 +406,44 @@ impl MesoCore {
         )
     }
 
-    fn refresh(&mut self) {
-        if self.dirty {
-            self.rates = self.throughputs();
-            self.dirty = false;
+    /// The current configuration's rates: cached until the next
+    /// configuration change, then looked up in the memo, and computed only
+    /// on a memo miss.
+    fn current_rates(&self) -> [f64; 2] {
+        if let Some(r) = self.rates.get() {
+            return r;
         }
+        let mut key: RateKey = [0; 7];
+        for (i, c) in self.ctx.iter().enumerate() {
+            let mut tag = u64::from(c.priority.value());
+            if let Some(w) = &c.workload {
+                let p = &w.profile;
+                key[3 * i] = p.ipc_st.to_bits();
+                key[3 * i + 1] = p.unit_pressure.to_bits();
+                key[3 * i + 2] = p.mem_intensity.to_bits();
+                tag |= 8;
+            }
+            key[6] |= tag << (8 * i);
+        }
+        let mut memo = self.rate_memo.borrow_mut();
+        let r = match memo.keys.iter().position(|k| same_key(k, &key)) {
+            Some(e) => memo.rates[e],
+            None => {
+                let r = self.throughputs();
+                let e = memo.next;
+                memo.keys[e] = key;
+                memo.rates[e] = r;
+                memo.next = (e + 1) % RATE_MEMO;
+                r
+            }
+        };
+        self.rates.set(Some(r));
+        r
+    }
+
+    /// Mark the configuration changed.
+    fn reconfigured(&mut self) {
+        self.rates.set(None);
     }
 
     /// Materialize both contexts' progress under the rates in force since
@@ -363,13 +452,21 @@ impl MesoCore {
     /// expression is a pure function of absolute time, which is what makes
     /// `advance` segmentation-invariant.
     fn reanchor(&mut self) {
-        self.refresh();
+        // With no cycle elapsed since the anchor, the rate term is
+        // `rate * 0.0 == 0.0` whatever the (finite) rate, so a pending
+        // configuration's rates need not be resolved.
+        let rates = if self.ctx.iter().all(|c| c.anchor_cycle == self.cycle) {
+            [0.0; 2]
+        } else {
+            self.current_rates()
+        };
         for (i, c) in self.ctx.iter_mut().enumerate() {
-            let rate = if c.live() { self.rates[i] } else { 0.0 };
+            let rate = if c.live() { rates[i] } else { 0.0 };
             let prog = c.progress_at(rate, self.cycle);
-            let whole = prog.floor();
-            c.anchor_retired += whole as u64;
-            c.carry = (prog - whole - FLOOR_EPS).clamp(0.0, 1.0);
+            // `prog` is positive and finite, so truncation is `floor`.
+            let whole = prog as u64;
+            c.anchor_retired += whole;
+            c.carry = (prog - whole as f64 - FLOOR_EPS).clamp(0.0, 1.0);
             c.anchor_cycle = self.cycle;
             c.retired = c.anchor_retired;
         }
@@ -386,7 +483,7 @@ impl CoreModel for MesoCore {
     fn set_priority(&mut self, t: ThreadId, p: HwPriority) {
         self.reanchor();
         self.ctx[t.index()].priority = p;
-        self.dirty = true;
+        self.reconfigured();
     }
 
     fn priority(&self, t: ThreadId) -> HwPriority {
@@ -398,7 +495,7 @@ impl CoreModel for MesoCore {
         let c = &mut self.ctx[t.index()];
         c.workload = Some(w);
         c.carry = 0.0;
-        self.dirty = true;
+        self.reconfigured();
     }
 
     fn clear(&mut self, t: ThreadId) {
@@ -407,9 +504,9 @@ impl CoreModel for MesoCore {
 
     fn take(&mut self, t: ThreadId) -> Option<Workload> {
         self.reanchor();
+        self.reconfigured();
         let c = &mut self.ctx[t.index()];
         c.carry = 0.0;
-        self.dirty = true;
         c.workload.take()
     }
 
@@ -418,14 +515,15 @@ impl CoreModel for MesoCore {
     }
 
     fn advance(&mut self, cycles: Cycles) -> [u64; 2] {
-        self.refresh();
+        let rates = self.current_rates();
         self.cycle += cycles;
         let mut out = [0u64; 2];
         for (i, c) in self.ctx.iter_mut().enumerate() {
             if !c.live() {
                 continue;
             }
-            let total = c.anchor_retired + c.progress_at(self.rates[i], self.cycle).floor() as u64;
+            // `x as u64` is `x.floor() as u64` for every f64.
+            let total = c.anchor_retired + c.progress_at(rates[i], self.cycle) as u64;
             out[i] = total - c.retired;
             c.retired = total;
         }
@@ -433,11 +531,7 @@ impl CoreModel for MesoCore {
     }
 
     fn retire_rate(&self, t: ThreadId) -> f64 {
-        if self.dirty {
-            self.throughputs()[t.index()]
-        } else {
-            self.rates[t.index()]
-        }
+        self.current_rates()[t.index()]
     }
 
     fn save_state(&self) -> CoreState {
@@ -473,10 +567,11 @@ impl CoreModel for MesoCore {
             c.anchor_cycle = cs.anchor_cycle;
             c.anchor_retired = cs.anchor_retired;
             c.retired = cs.retired;
+            c.crossing.set(None);
         }
         // Rates are a pure function of the restored contexts; recompute
         // lazily exactly as after any configuration change.
-        self.dirty = true;
+        self.reconfigured();
         Ok(())
     }
 
@@ -490,23 +585,51 @@ impl CoreModel for MesoCore {
             return None;
         }
         let c = &self.ctx[i];
-        // Whole-progress threshold at which `n` more instructions than the
+        // Whole instructions past the anchor at which `n` more than the
         // current count have retired.
-        let target = (c.retired - c.anchor_retired + n) as f64;
+        let since_anchor = c.retired - c.anchor_retired + n;
+        // The crossing cycle depends only on the anchor, the rate and the
+        // target, not on `now`: progress is non-decreasing in the cycle,
+        // so the search below returns the least `dt >= 1` whose progress
+        // reaches the target, which is `max(1, at - now)`.
+        let key = [
+            c.anchor_cycle,
+            c.anchor_retired,
+            c.carry.to_bits(),
+            rate.to_bits(),
+            since_anchor,
+        ];
+        if let Some(x) = c.crossing.get().filter(|x| same_key(&x.key, &key)) {
+            return Some(x.at.saturating_sub(self.cycle).max(1));
+        }
+        let target = since_anchor as f64;
         let elapsed = self.cycle - c.anchor_cycle;
-        let est = ((target - c.carry) / rate).ceil() - elapsed as f64;
+        // Cycles from now to the crossing, unrounded. The guard reads the
+        // same as on `ceil` of the quotient: at 2^52 and above every f64
+        // is whole, and anything smaller is far below 9e18.
+        let est = (target - c.carry) / rate - elapsed as f64;
         if !est.is_finite() || est >= 9e18 {
             return Some(9_000_000_000_000_000_000);
         }
         // Pin the estimate to the exact threshold of the expression
         // `advance` evaluates, so the promised event time is identical no
-        // matter how the preceding cycles were segmented.
-        let mut dt = (est.max(1.0)) as Cycles;
+        // matter how the preceding cycles were segmented. The search
+        // finds the same least `dt` from any start; this one is usually
+        // already the answer.
+        let mut dt = est as Cycles + 1;
         while c.progress_at(rate, self.cycle + dt) < target {
             dt += 1;
         }
         while dt > 1 && c.progress_at(rate, self.cycle + dt - 1) >= target {
             dt -= 1;
+        }
+        // At `dt == 1` the crossing may lie at or before `now`; only a
+        // longer answer pins it exactly.
+        if dt > 1 {
+            c.crossing.set(Some(Crossing {
+                key,
+                at: self.cycle + dt,
+            }));
         }
         Some(dt)
     }
@@ -993,6 +1116,59 @@ mod tests {
                 (g1, g2, c.retired(ThreadId::A), c.retired(ThreadId::B))
             };
             prop_assert_eq!(run(false), run(true));
+        }
+
+        /// The rate and crossing memos never change an answer. After every
+        /// step of a random reconfiguration sequence, the warm core agrees
+        /// bitwise with a cold core restored from its snapshot (empty
+        /// memos) on both rates, on crossing times for relative targets and
+        /// for a fixed absolute one (which hits the crossing memo as the
+        /// core advances), and on the next advance. A zero-length handler
+        /// window (take, then re-assign at the same cycle) keeps every
+        /// crossing-memo input but the carry.
+        #[test]
+        fn memoized_answers_match_a_cold_core(
+            steps in proptest::collection::vec((0u8..7, 0usize..2, 0u64..4_000), 1..40),
+            target in 1_000u64..30_000,
+        ) {
+            let profiles = [
+                WorkloadProfile::new(2.5, 0.2, 0.02),
+                WorkloadProfile::new(0.3, 0.1, 0.0),
+            ];
+            let mut core = MesoCore::default();
+            let mut saved = core.save_state();
+            for (op, ti, arg) in steps {
+                let t = ThreadId::from_index(ti);
+                let w = Workload::with_profile("w", StreamSpec::balanced(1), profiles[arg as usize % 2]);
+                match op {
+                    0 => core.assign(t, w),
+                    1 => drop(core.take(t)),
+                    2 => core.set_priority(t, p([1, 2, 4, 6][arg as usize % 4])),
+                    3 => drop(core.advance(arg)),
+                    4 => {
+                        if let Some(w) = core.take(t) {
+                            core.assign(t, w);
+                        }
+                    }
+                    5 => saved = core.save_state(),
+                    _ => core.restore_state(&saved).unwrap(),
+                }
+                let mut cold = MesoCore::default();
+                cold.restore_state(&core.save_state()).unwrap();
+                for th in ThreadId::BOTH {
+                    prop_assert_eq!(core.retire_rate(th).to_bits(), cold.retire_rate(th).to_bits());
+                    // Each context memoizes one answer, so the fixed target
+                    // is asked first (a hit when nothing moved it since the
+                    // last step) and last (stored for the next step).
+                    let to_target = target.saturating_sub(core.retired(th)).max(1);
+                    for n in [to_target, 1, 2, 37, 1_000, to_target] {
+                        prop_assert_eq!(core.cycles_to_retire(th, n), cold.cycles_to_retire(th, n), "{:?} n={}", th, n);
+                    }
+                }
+                let mut warm = core.clone();
+                prop_assert_eq!(warm.advance(arg), cold.advance(arg));
+                prop_assert_eq!(warm.save_state(), cold.save_state());
+            }
         }
     }
 }
