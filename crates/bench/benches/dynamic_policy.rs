@@ -1,10 +1,10 @@
 //! Overhead and effectiveness of the dynamic balancing policy (EXT-1
 //! companion): a static run vs the same run driven by the
-//! `DynamicBalancer` observer.
+//! reactive two-level controller (level 1 disabled, no progress model).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mtb_core::balance::{execute, execute_with, StaticRun};
-use mtb_core::dynamic::DynamicBalancer;
+use mtb_core::dynamic::{ControllerConfig, TwoLevelController};
 use mtb_workloads::MetBenchConfig;
 
 fn bench_policy(c: &mut Criterion) {
@@ -23,8 +23,12 @@ fn bench_policy(c: &mut Criterion) {
 
     g.bench_function("dynamic_observer/30iter", |bench| {
         bench.iter(|| {
-            let mut balancer = DynamicBalancer::with_defaults(&cfg.placement());
-            black_box(execute_with(StaticRun::new(&progs, cfg.placement()), &mut balancer).unwrap())
+            let reactive = ControllerConfig {
+                max_remaps: 0,
+                ..Default::default()
+            };
+            let mut ctl = TwoLevelController::new(&cfg.placement(), reactive);
+            black_box(execute_with(StaticRun::new(&progs, cfg.placement()), &mut ctl).unwrap())
         })
     });
 

@@ -2,17 +2,20 @@
 //!
 //! ```text
 //! mtb run --app <metbench|btmz|siesta|synthetic> [options]
-//! mtb tables [4|5|6|all] [--gantt]
+//! mtb tables [1|2|3|4|5|6|all] [--gantt]
+//! mtb exp <NAME>
 //! mtb sweep --app <app>
 //! mtb help
 //! ```
 //!
-//! Run any of the paper's workloads under any case configuration, kernel
+//! Regenerate every table, figure and experiment of the reproduction, and
+//! run any of the paper's workloads under any case configuration, kernel
 //! flavour, noise level and balancing policy from the command line:
 //!
 //! ```sh
+//! cargo run -p mtb-bench --release --bin mtb -- tables all --gantt
+//! cargo run -p mtb-bench --release --bin mtb -- exp dynamic
 //! cargo run -p mtb-bench --release --bin mtb -- run --app btmz --case D --gantt
-//! cargo run -p mtb-bench --release --bin mtb -- run --app siesta --dynamic
 //! cargo run -p mtb-bench --release --bin mtb -- run --app metbench --case C \
 //!     --kernel vanilla --noise 5
 //! ```
@@ -20,7 +23,7 @@
 use mtb_bench::harness::{config_hash_static, run_static};
 use mtb_core::balance::{execute_with, prepare, StaticRun};
 use mtb_core::dynamic::{ControllerConfig, TwoLevelController};
-use mtb_core::paper_cases::{self, Case};
+use mtb_core::paper_cases::Case;
 use mtb_core::policy::PrioritySetting;
 use mtb_mpisim::engine::RunResult;
 use mtb_mpisim::program::Program;
@@ -29,9 +32,8 @@ use mtb_oskernel::noise::interrupt_annoyance;
 use mtb_oskernel::{CtxAddr, KernelConfig, NoiseSource};
 use mtb_snap::{read_snapshot, write_snapshot};
 use mtb_trace::{cycles_to_seconds, render_gantt, GanttConfig};
-use mtb_workloads::{BtMzConfig, MetBenchConfig, SiestaConfig};
 
-use mtb_bench::cli::{build_app, parse_opts, AppOverrides};
+use mtb_bench::cli::{build_app, opt, parse_opts, AppOverrides};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -40,8 +42,9 @@ mtb — balancing HPC applications on MT processors (IPDPS 2008 reproduction)
 
 USAGE:
     mtb run --app <APP> [OPTIONS]     simulate one configuration
-    mtb tables [4|5|6|all] [--gantt]  regenerate paper tables IV-VI (default: all)
+    mtb tables [1-6|all] [--gantt]    regenerate paper tables I-VI (default: all)
                                       and, with --gantt, Figures 2-4
+    mtb exp <NAME>                    run one figure/report/extension experiment
     mtb sweep --app <APP>             sweep the priority difference
     mtb lint [OPTIONS]                static analysis of programs + priorities
     mtb suggest [OPTIONS]             rank (placement, priority) plans statically
@@ -52,6 +55,10 @@ USAGE:
     mtb help                          this text
 
 APPS:   metbench | btmz | siesta | synthetic
+
+EXPERIMENTS (mtb exp <NAME>; EXPERIMENTS.md has the write-ups):
+    fig1 report fidelity dynamic kernel noise redistribution sharelaw
+    cluster energy control seeds scaling waitpolicy
 
 RUN OPTIONS:
     --case <ST|A|B|C|D>     paper case configuration     [default: A]
@@ -133,27 +140,38 @@ PARALLELISM:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
     let code = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("tables") => cmd_tables(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
-        Some("suggest") => cmd_suggest(&args[1..]),
-        Some("table-dynamic") => cmd_table_dynamic(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("bisect-drift") => cmd_bisect(&args[1..]),
-        Some("checkpoint-identity") => cmd_checkpoint_identity(&args[1..]),
+        Some("run") => cmd_run(rest),
+        Some("tables") => cmd_tables(rest),
+        Some("exp") => cmd_exp(rest),
+        Some("sweep") => cmd_sweep(rest),
+        Some("lint") => cmd_lint(rest),
+        Some("suggest") => cmd_suggest(rest),
+        Some("table-dynamic") => cmd_table_dynamic(rest),
+        Some("bench") => cmd_bench(rest),
+        Some("bisect-drift") => cmd_bisect(rest),
+        Some("checkpoint-identity") => cmd_checkpoint_identity(rest),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some(other) => {
-            eprintln!("unknown command {other:?}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Some(other) => Err(with_usage(format!("unknown command {other:?}"))),
     };
+    let code = code.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    });
     mtb_bench::harness::print_summary();
     code
+}
+
+/// A command's outcome: an exit code, or an error message for stderr.
+type CmdResult = Result<ExitCode, String>;
+
+/// A command-line error, followed by the usage text.
+fn with_usage(e: String) -> String {
+    format!("{e}\n\n{USAGE}")
 }
 
 fn noise_for(duty_pct: u64) -> Vec<NoiseSource> {
@@ -161,7 +179,7 @@ fn noise_for(duty_pct: u64) -> Vec<NoiseSource> {
         return Vec::new();
     }
     let period = 500_000;
-    interrupt_annoyance(2, 1_500_000, 7_500, period, period * duty_pct.min(50) / 100)
+    interrupt_annoyance(2, 1_500_000, 7_500, period, period * duty_pct / 100)
 }
 
 fn print_result(label: &str, r: &RunResult, gantt: bool) {
@@ -193,40 +211,28 @@ fn print_result(label: &str, r: &RunResult, gantt: bool) {
     }
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_run(args: &[String]) -> CmdResult {
+    let (opts, flags) = parse_opts(args).map_err(with_usage)?;
     let app = opts.get("app").map(String::as_str).unwrap_or("");
     let case_name = opts.get("case").map(String::as_str).unwrap_or("A");
-    let scale: f64 = opts
-        .get("scale")
-        .map_or(Ok(1.0), |s| s.parse())
-        .unwrap_or(1.0);
-    let iterations = opts.get("iterations").and_then(|s| s.parse().ok());
-    let seed = opts.get("seed").and_then(|s| s.parse().ok());
-    let duty: u64 = opts.get("noise").and_then(|s| s.parse().ok()).unwrap_or(0);
+    let overrides = AppOverrides::from_opts(&opts).map_err(with_usage)?;
+    let duty: u64 = opt(&opts, "noise").map_err(with_usage)?.unwrap_or(0);
+    if duty > 50 {
+        return Err(with_usage(format!(
+            "--noise {duty}: the device-IRQ duty cycle is at most 50%"
+        )));
+    }
     let kernel = match opts.get("kernel").map(String::as_str) {
+        None | Some("patched") => KernelConfig::patched(),
         Some("vanilla") => KernelConfig::vanilla(),
-        _ => KernelConfig::patched(),
-    };
-
-    let overrides = AppOverrides {
-        scale: Some(scale),
-        iterations,
-        seed,
-    };
-    let (programs, case) = match build_app(app, case_name, overrides) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+        Some(other) => {
+            return Err(with_usage(format!(
+                "--kernel {other:?}: expected patched|vanilla"
+            )))
         }
     };
+
+    let (programs, case) = build_app(app, case_name, overrides).map_err(with_usage)?;
 
     let mut run = StaticRun::new(&programs, case.placement.clone())
         .with_priorities(case.priorities.clone())
@@ -235,28 +241,18 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if flags.iter().any(|f| f == "cycle-accurate") {
         run = run.cycle_accurate();
     }
+    let gantt = flags.iter().any(|f| f == "gantt");
 
     if let Some(path) = opts.get("resume") {
         if flags.iter().any(|f| f == "dynamic") {
-            eprintln!(
+            return Err(
                 "--resume cannot drive the dynamic balancer (its state is not in the snapshot)"
+                    .to_string(),
             );
-            return ExitCode::FAILURE;
         }
-        return match resume_run(&run, Path::new(path)) {
-            Ok(r) => {
-                print_result(
-                    &format!("{app} case {case_name} (resumed)"),
-                    &r,
-                    flags.iter().any(|f| f == "gantt"),
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("resume failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let r = resume_run(&run, Path::new(path)).map_err(|e| format!("resume failed: {e}"))?;
+        print_result(&format!("{app} case {case_name} (resumed)"), &r, gantt);
+        return Ok(ExitCode::SUCCESS);
     }
 
     let result = if flags.iter().any(|f| f == "dynamic") {
@@ -278,167 +274,97 @@ fn cmd_run(args: &[String]) -> ExitCode {
     } else {
         run_static(run)
     };
-
-    match result {
-        Ok(r) => {
-            print_result(
-                &format!("{app} case {case_name}"),
-                &r,
-                flags.iter().any(|f| f == "gantt"),
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let r = result.map_err(|e| format!("run failed: {e}"))?;
+    print_result(&format!("{app} case {case_name}"), &r, gantt);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_tables(args: &[String]) -> ExitCode {
+fn cmd_tables(args: &[String]) -> CmdResult {
+    use mtb_bench::tables::{print, TABLES};
+
     let (which, rest) = match args.split_first() {
         Some((w, rest)) if !w.starts_with("--") => (w.as_str(), rest),
         _ => ("all", args),
     };
-    let gantt = match parse_opts(rest) {
-        Ok((_, flags)) => flags.iter().any(|f| f == "gantt"),
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+    let (_, flags) = parse_opts(rest).map_err(with_usage)?;
+    let gantt = flags.iter().any(|f| f == "gantt");
+    if which == "all" {
+        for t in TABLES {
+            print(t, gantt);
         }
-    };
-    let all = which == "all";
-    if !(all || ["4", "5", "6"].contains(&which)) {
-        eprintln!("tables: expected 4, 5, 6 or all (tables 1-3 have dedicated binaries)");
-        return ExitCode::FAILURE;
+    } else if !print(which, gantt) {
+        return Err(format!(
+            "tables: expected 1, 2, 3, 4, 5, 6 or all, not {which:?}"
+        ));
     }
-    // The table, then with --gantt its figure; ST rows have no Gantt.
-    let print = |title: &str, figure: &str, runs: &[(Case, RunResult)], st_rows: usize| {
-        println!("{}", mtb_bench::report(title, "A", runs));
-        if gantt {
-            println!("{}", mtb_bench::gantts(figure, &runs[st_rows..], 100));
-        }
-    };
-    if all || which == "4" {
-        let cfg = MetBenchConfig::default();
-        let runs = mtb_bench::run_cases(paper_cases::metbench_cases(), |_| cfg.programs());
-        print(
-            "TABLE IV — METBENCH BALANCED AND IMBALANCED CHARACTERIZATION",
-            "Figure 2",
-            &runs,
-            0,
-        );
-    }
-    if all || which == "5" {
-        let st_cfg = BtMzConfig::st_mode();
-        let st = mtb_bench::run_case(&st_cfg.programs(), &paper_cases::btmz_st_case());
-        let cfg = BtMzConfig::default();
-        let mut runs = vec![(paper_cases::btmz_st_case(), st)];
-        runs.extend(mtb_bench::run_cases(paper_cases::btmz_cases(), |_| {
-            cfg.programs()
-        }));
-        print(
-            "TABLE V — BT-MZ BALANCED AND IMBALANCED CHARACTERIZATION",
-            "Figure 3",
-            &runs,
-            1,
-        );
-    }
-    if all || which == "6" {
-        let st_cfg = SiestaConfig::st_mode();
-        let st = mtb_bench::run_case(&st_cfg.programs(), &paper_cases::siesta_st_case());
-        let cfg = SiestaConfig::default();
-        let mut runs = vec![(paper_cases::siesta_st_case(), st)];
-        runs.extend(mtb_bench::run_cases(paper_cases::siesta_cases(), |_| {
-            cfg.programs()
-        }));
-        print(
-            "TABLE VI — SIESTA BALANCED AND IMBALANCED CHARACTERIZATION",
-            "Figure 4",
-            &runs,
-            1,
-        );
-    }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
+fn cmd_exp(args: &[String]) -> CmdResult {
+    let Some((name, rest)) = args.split_first() else {
+        return Err(with_usage("exp needs an experiment <NAME>".to_string()));
+    };
+    parse_opts(rest).map_err(with_usage)?;
+    if !mtb_bench::exp::run(name) {
+        let names: Vec<&str> = mtb_bench::exp::EXPERIMENTS
+            .iter()
+            .map(|(n, _)| *n)
+            .collect();
+        return Err(format!(
+            "exp: unknown experiment {name:?} (expected one of: {})",
+            names.join(" ")
+        ));
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_lint(args: &[String]) -> CmdResult {
     use mtb_bench::lint;
     use mtb_verify::Severity;
 
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (opts, flags) = parse_opts(args).map_err(with_usage)?;
     let deny = match opts.get("deny").map(String::as_str) {
         None | Some("errors") => Severity::Error,
         Some("warnings") => Severity::Warning,
-        Some(other) => {
-            eprintln!("--deny {other:?}: expected errors|warnings");
-            return ExitCode::FAILURE;
-        }
+        Some(other) => return Err(format!("--deny {other:?}: expected errors|warnings")),
     };
 
     if flags.iter().any(|f| f == "selftest") {
-        let jobs: usize = opts.get("jobs").and_then(|s| s.parse().ok()).unwrap_or(8);
-        return match lint::selftest(jobs) {
-            Ok(lines) => {
-                for line in lines {
-                    println!("{line}");
-                }
-                println!("determinism selftest passed");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("determinism selftest FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let jobs: usize = opt(&opts, "jobs")?.unwrap_or(8);
+        let lines =
+            lint::selftest(jobs).map_err(|e| format!("determinism selftest FAILED: {e}"))?;
+        for line in lines {
+            println!("{line}");
+        }
+        println!("determinism selftest passed");
+        return Ok(ExitCode::SUCCESS);
     }
 
     let targets: Vec<(&str, &str)> = if flags.iter().any(|f| f == "all-cases") {
         lint::ALL_TARGETS.to_vec()
     } else {
-        let app = match opts.get("app") {
-            Some(a) => a.as_str(),
-            None => {
-                eprintln!("lint needs --app <APP> --case <C>, --all-cases or --selftest");
-                return ExitCode::FAILURE;
-            }
-        };
+        let app = opts
+            .get("app")
+            .map(String::as_str)
+            .ok_or("lint needs --app <APP> --case <C>, --all-cases or --selftest")?;
         vec![(app, opts.get("case").map(String::as_str).unwrap_or("A"))]
     };
 
-    let outcomes = match lint::lint_targets(&targets) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("lint failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcomes = lint::lint_targets(&targets).map_err(|e| format!("lint failed: {e}"))?;
     if flags.iter().any(|f| f == "json") {
         println!("{}", lint::outcomes_to_json(&outcomes).render());
     } else {
         print!("{}", lint::outcomes_to_text(&outcomes));
     }
-    if lint::any_at_or_above(&outcomes, deny) {
+    Ok(if lint::any_at_or_above(&outcomes, deny) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_bench(args: &[String]) -> CmdResult {
+    let (opts, flags) = parse_opts(args).map_err(with_usage)?;
     let smoke = flags.iter().any(|f| f == "smoke");
     let out = opts
         .get("out")
@@ -446,26 +372,18 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         .unwrap_or("BENCH_sim.json");
     let report = mtb_bench::perf::run(smoke);
     print!("{}", report.render());
-    if let Err(e) = report.write(std::path::Path::new(out)) {
-        eprintln!("bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    report
+        .write(Path::new(out))
+        .map_err(|e| format!("bench: cannot write {out}: {e}"))?;
     println!("report written to {out}");
     if !report.all_identical() {
-        eprintln!("bench: DRIFT — fast path disagrees with reference output");
-        return ExitCode::FAILURE;
+        return Err("bench: DRIFT — fast path disagrees with reference output".to_string());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_sweep(args: &[String]) -> ExitCode {
-    let (opts, _) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_sweep(args: &[String]) -> CmdResult {
+    let (opts, _) = parse_opts(args).map_err(with_usage)?;
     let app = opts.get("app").map(String::as_str).unwrap_or("metbench");
     println!("priority-difference sweep for {app} (light rank demoted, heavy boosted):\n");
     for diff in 0..=4u8 {
@@ -480,27 +398,17 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
                 }
             })
             .collect();
-        let (programs, case) = match build_app(app, "A", AppOverrides::default()) {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let (programs, case) = build_app(app, "A", AppOverrides::default())?;
         let placement: Vec<CtxAddr> = case.placement.clone();
-        match run_static(StaticRun::new(&programs, placement).with_priorities(prios)) {
-            Ok(r) => println!(
-                "  diff {diff} ({light}/{heavy}): exec {:7.2}s, imbalance {:5.2}%",
-                cycles_to_seconds(r.total_cycles),
-                r.metrics.imbalance_pct
-            ),
-            Err(e) => {
-                eprintln!("sweep point failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let r = run_static(StaticRun::new(&programs, placement).with_priorities(prios))
+            .map_err(|e| format!("sweep point failed: {e}"))?;
+        println!(
+            "  diff {diff} ({light}/{heavy}): exec {:7.2}s, imbalance {:5.2}%",
+            cycles_to_seconds(r.total_cycles),
+            r.metrics.imbalance_pct
+        );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Restore `path` into a fresh engine for `run` and drive it to
@@ -526,53 +434,33 @@ fn resume_run(run: &StaticRun<'_>, path: &Path) -> Result<RunResult, String> {
     Ok(engine.into_result())
 }
 
-fn cmd_bisect(args: &[String]) -> ExitCode {
-    let (opts, _) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_bisect(args: &[String]) -> CmdResult {
+    let (opts, _) = parse_opts(args).map_err(with_usage)?;
     let compare = match opts.get("compare").map(String::as_str) {
         Some(c @ ("threads" | "stepping" | "fidelity")) => c,
         Some(other) => {
-            eprintln!("--compare {other:?}: expected threads|stepping|fidelity");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "--compare {other:?}: expected threads|stepping|fidelity"
+            ))
         }
-        None => {
-            eprintln!("bisect-drift needs --compare <threads|stepping|fidelity>");
-            return ExitCode::FAILURE;
-        }
+        None => return Err("bisect-drift needs --compare <threads|stepping|fidelity>".to_string()),
     };
     let app = opts.get("app").map(String::as_str).unwrap_or("metbench");
     let case_name = opts.get("case").map(String::as_str).unwrap_or("A");
-    let window: u64 = opts
-        .get("window")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50);
+    let window: u64 = opt(&opts, "window")?.unwrap_or(50);
     // The cycle model simulates every cycle an event jump covers, so the
     // fidelity comparison defaults to a far smaller workload.
     let default_scale = if compare == "fidelity" { 2e-5 } else { 1e-3 };
-    let scale: f64 = opts
-        .get("scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default_scale);
+    let scale: f64 = opt(&opts, "scale")?.unwrap_or(default_scale);
 
-    let (programs, case) = match build_app(
+    let (programs, case) = build_app(
         app,
         case_name,
         AppOverrides {
             scale: Some(scale),
             ..Default::default()
         },
-    ) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )?;
     let base = || {
         StaticRun::new(&programs, case.placement.clone())
             .with_priorities(case.priorities.clone())
@@ -583,13 +471,8 @@ fn cmd_bisect(args: &[String]) -> ExitCode {
         "stepping" => base().with_stepping(Stepping::Quantum),
         _ => base().cycle_accurate(),
     };
-    let report = match mtb_bench::bisect::bisect_drift(&base(), &b, window) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bisect-drift failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = mtb_bench::bisect::bisect_drift(&base(), &b, window)
+        .map_err(|e| format!("bisect-drift failed: {e}"))?;
     print!(
         "{app} case {case_name} (scale {scale}), A=base B={compare}: {}",
         report.render()
@@ -597,10 +480,9 @@ fn cmd_bisect(args: &[String]) -> ExitCode {
     // Thread counts must never change results; the other two comparisons
     // locate divergence that is allowed to exist.
     if compare == "threads" && report.divergence.is_some() {
-        eprintln!("bisect-drift: determinism violation — thread counts diverged");
-        return ExitCode::FAILURE;
+        return Err("bisect-drift: determinism violation — thread counts diverged".to_string());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The checkpoint-identity targets: every paper case of every app.
@@ -717,41 +599,20 @@ fn ci_child_restore(
     Ok(())
 }
 
-fn cmd_checkpoint_identity(args: &[String]) -> ExitCode {
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_checkpoint_identity(args: &[String]) -> CmdResult {
+    let (opts, flags) = parse_opts(args).map_err(with_usage)?;
     // Child phases (spawned below with the same binary).
     if let Some(path) = opts.get("save") {
-        return match ci_child_save(&opts, path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("checkpoint-identity save: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        ci_child_save(&opts, path).map_err(|e| format!("checkpoint-identity save: {e}"))?;
+        return Ok(ExitCode::SUCCESS);
     }
     if let Some(path) = opts.get("restore") {
-        return match ci_child_restore(&opts, path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("checkpoint-identity restore: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        ci_child_restore(&opts, path).map_err(|e| format!("checkpoint-identity restore: {e}"))?;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("checkpoint-identity: cannot locate own binary: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let exe = std::env::current_exe()
+        .map_err(|e| format!("checkpoint-identity: cannot locate own binary: {e}"))?;
     let smoke = flags.iter().any(|f| f == "smoke");
     let mut failures = 0usize;
     let mut targets = 0usize;
@@ -784,11 +645,11 @@ fn cmd_checkpoint_identity(args: &[String]) -> ExitCode {
         "checkpoint-identity: {}/{targets} targets identical",
         targets - failures
     );
-    if failures > 0 {
+    Ok(if failures > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// One target: whole-run record hash in-process, then save + restore in
@@ -860,48 +721,23 @@ fn ci_one_target(
     result
 }
 
-fn cmd_table_dynamic(args: &[String]) -> ExitCode {
+fn cmd_table_dynamic(args: &[String]) -> CmdResult {
     use mtb_bench::table_dynamic as td;
 
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (opts, flags) = parse_opts(args).map_err(with_usage)?;
     let smoke = flags.iter().any(|f| f == "smoke");
-    let scale = opts
-        .get("scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 1e-3 } else { 1.0 });
-    let ov = AppOverrides {
-        scale: Some(scale),
-        iterations: opts.get("iterations").and_then(|s| s.parse().ok()),
-        seed: opts.get("seed").and_then(|s| s.parse().ok()),
-    };
-    let jobs = opts
-        .get("jobs")
-        .cloned()
-        .or_else(|| std::env::var("MTB_JOBS").ok())
-        .and_then(|s| s.parse().ok())
+    let mut ov = AppOverrides::from_opts(&opts)?;
+    ov.scale = Some(ov.scale.unwrap_or(if smoke { 1e-3 } else { 1.0 }));
+    let jobs = opt(&opts, "jobs")?
+        .or_else(|| std::env::var("MTB_JOBS").ok()?.parse().ok())
         .filter(|&n: &usize| n > 0)
         .unwrap_or(4);
     let cfg = mtb_core::ControllerConfig::default();
 
-    let rows = match td::run_report(ov, &cfg, jobs) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("table-dynamic: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let rows = td::run_report(ov, &cfg, jobs).map_err(|e| format!("table-dynamic: {e}"))?;
     let doc = td::report_to_json(&rows);
     if let Some(path) = opts.get("out") {
-        if let Err(e) = std::fs::write(path, doc.render()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, doc.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     if flags.iter().any(|f| f == "json") {
         println!("{}", doc.render());
@@ -909,98 +745,72 @@ fn cmd_table_dynamic(args: &[String]) -> ExitCode {
         print!("{}", td::report_to_text(&rows));
     }
     if rows.iter().all(td::DynamicRow::passes) {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
-        eprintln!(
+        Err(
             "dynamic-validate gate FAILED: a regression vs the best static \
              setting, a case-D inversion, or thread-count drift (see report)"
-        );
-        ExitCode::FAILURE
+                .to_string(),
+        )
     }
 }
 
-fn cmd_suggest(args: &[String]) -> ExitCode {
+fn cmd_suggest(args: &[String]) -> CmdResult {
     use mtb_bench::suggest;
 
-    let (opts, flags) = match parse_opts(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (opts, flags) = parse_opts(args).map_err(with_usage)?;
     let apps: Vec<&str> = match opts.get("app").map(String::as_str) {
         None | Some("all") => suggest::SUGGEST_APPS.to_vec(),
         Some(app) => vec![app],
     };
-    let top: usize = opts.get("top").and_then(|s| s.parse().ok()).unwrap_or(5);
-    let ov = AppOverrides {
-        scale: opts.get("scale").and_then(|s| s.parse().ok()),
-        iterations: opts.get("iterations").and_then(|s| s.parse().ok()),
-        seed: opts.get("seed").and_then(|s| s.parse().ok()),
-    };
+    let top: usize = opt(&opts, "top")?.unwrap_or(5);
+    let ov = AppOverrides::from_opts(&opts)?;
     let json = flags.iter().any(|f| f == "json");
     let out_path = opts.get("out").map(Path::new);
+    let write_out = |doc: &mtb_bench::json::Json| match out_path {
+        Some(path) => std::fs::write(path, doc.render())
+            .map_err(|e| format!("cannot write {}: {e}", path.display())),
+        None => Ok(()),
+    };
 
     if flags.iter().any(|f| f == "validate") {
         let mut validations = Vec::new();
         for app in &apps {
-            match suggest::validate_app(app, ov) {
-                Ok(v) => validations.push(v),
-                Err(e) => {
-                    eprintln!("suggest --validate {app}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            validations.push(
+                suggest::validate_app(app, ov)
+                    .map_err(|e| format!("suggest --validate {app}: {e}"))?,
+            );
         }
         let doc = suggest::validations_to_json(&validations);
-        if let Some(path) = out_path {
-            if let Err(e) = std::fs::write(path, doc.render()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        write_out(&doc)?;
         if json {
             println!("{}", doc.render());
         } else {
             print!("{}", suggest::validations_to_text(&validations));
         }
         return if validations.iter().all(suggest::AppValidation::passes) {
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         } else {
-            eprintln!(
+            Err(format!(
                 "calibration gate FAILED: rank correlation < {} or the top \
                  plan loses to the paper's best setting",
                 suggest::MIN_RANK_CORRELATION
-            );
-            ExitCode::FAILURE
+            ))
         };
     }
 
     let mut docs = Vec::new();
     for app in &apps {
-        match suggest::suggest(app, ov) {
-            Ok(s) => {
-                docs.push(suggest::suggestion_to_json(&s, top));
-                if !json {
-                    print!("{}", suggest::suggestion_to_text(&s, top));
-                }
-            }
-            Err(e) => {
-                eprintln!("suggest {app}: {e}");
-                return ExitCode::FAILURE;
-            }
+        let s = suggest::suggest(app, ov).map_err(|e| format!("suggest {app}: {e}"))?;
+        docs.push(suggest::suggestion_to_json(&s, top));
+        if !json {
+            print!("{}", suggest::suggestion_to_text(&s, top));
         }
     }
     let doc = mtb_bench::json::Json::Arr(docs);
     if json {
         println!("{}", doc.render());
     }
-    if let Some(path) = out_path {
-        if let Err(e) = std::fs::write(path, doc.render()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    write_out(&doc)?;
+    Ok(ExitCode::SUCCESS)
 }

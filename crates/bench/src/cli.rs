@@ -8,6 +8,8 @@ use mtb_workloads::synthetic::SyntheticConfig;
 use mtb_workloads::{BtMzConfig, MetBenchConfig, SiestaConfig};
 
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Parse `--key value` pairs and bare `--flag`s (flags: `dynamic`,
 /// `gantt`, `cycle-accurate`, `no-cache`, the lint flags `json`,
@@ -35,6 +37,18 @@ pub fn parse_opts(args: &[String]) -> Result<(HashMap<String, String>, Vec<Strin
     Ok((opts, flags))
 }
 
+/// The value of option `--key` parsed as `T`; `None` when the option is
+/// absent. A malformed value is an error naming the option and the value,
+/// never a silent fallback to the default.
+pub fn opt<T: FromStr>(opts: &HashMap<String, String>, key: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
+    opts.get(key)
+        .map(|v| v.parse().map_err(|e| format!("--{key} {v:?}: {e}")))
+        .transpose()
+}
+
 /// Workload overrides shared by the CLI paths.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AppOverrides {
@@ -44,6 +58,17 @@ pub struct AppOverrides {
     pub iterations: Option<u32>,
     /// Seed override.
     pub seed: Option<u64>,
+}
+
+impl AppOverrides {
+    /// The `--scale`, `--iterations` and `--seed` options.
+    pub fn from_opts(opts: &HashMap<String, String>) -> Result<AppOverrides, String> {
+        Ok(AppOverrides {
+            scale: opt(opts, "scale")?,
+            iterations: opt(opts, "iterations")?,
+            seed: opt(opts, "seed")?,
+        })
+    }
 }
 
 /// Resolve an app name + case label into rank programs and the case
@@ -187,6 +212,16 @@ mod tests {
     fn rejects_malformed_args() {
         assert!(parse_opts(&args(&["app"])).is_err(), "missing --");
         assert!(parse_opts(&args(&["--app"])).is_err(), "missing value");
+    }
+
+    #[test]
+    fn malformed_option_values_are_errors() {
+        let (opts, _) = parse_opts(&args(&["--scale", "abc", "--seed", "7"])).unwrap();
+        let e = opt::<f64>(&opts, "scale").unwrap_err();
+        assert!(e.contains("--scale") && e.contains("abc"), "{e}");
+        assert_eq!(opt::<u64>(&opts, "seed"), Ok(Some(7)));
+        assert_eq!(opt::<u64>(&opts, "iterations"), Ok(None));
+        assert!(AppOverrides::from_opts(&opts).is_err());
     }
 
     #[test]

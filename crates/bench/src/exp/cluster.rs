@@ -8,7 +8,7 @@
 //! SMT priorities then address the zone imbalance — the two mechanisms
 //! compose, as the paper argues they should.
 
-use mtb_bench::harness::run_static;
+use crate::harness::run_static;
 use mtb_core::balance::StaticRun;
 use mtb_core::mapper::{block_placement, striped_placement};
 use mtb_core::policy::PrioritySetting;
@@ -17,7 +17,7 @@ use mtb_trace::cycles_to_seconds;
 use mtb_workloads::btmz::{contiguous_partition, BtMzConfig};
 use mtb_workloads::loads;
 
-fn main() {
+pub fn run() {
     println!("EXT-6 — cluster topology and placement (8-rank BT-MZ ring, 2 nodes x 2 cores)\n");
 
     // 8 ranks over the 16 zones; chunkier exchanges make the network
@@ -75,6 +75,4 @@ fn main() {
          then attack the zone imbalance on top — the placement and priority\n\
          mechanisms compose."
     );
-
-    mtb_bench::harness::print_summary();
 }

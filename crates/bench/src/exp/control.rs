@@ -7,14 +7,13 @@
 //! were not bottlenecks. The audited dynamic policy, by contrast, detects
 //! the balance and stays idle.
 
-use mtb_bench::harness::run_static;
+use crate::harness::run_static;
 use mtb_core::balance::{execute_with, StaticRun};
-use mtb_core::dynamic::DynamicBalancer;
 use mtb_core::paper_cases::{btmz_cases, btmz_paired_placement};
 use mtb_trace::cycles_to_seconds;
 use mtb_workloads::spmz::SpMzConfig;
 
-fn main() {
+pub fn run() {
     println!("EXT-8 — balanced control workloads (SP-MZ, LU-MZ)\n");
     for (name, cfg) in [("SP-MZ", SpMzConfig::sp()), ("LU-MZ", SpMzConfig::lu())] {
         let progs = cfg.programs();
@@ -27,7 +26,7 @@ fn main() {
                 .with_priorities(case_d.priorities.clone()),
         )
         .unwrap();
-        let mut balancer = DynamicBalancer::with_defaults(&cfg.placement());
+        let mut balancer = super::reactive(&cfg.placement());
         let dynamic = execute_with(StaticRun::new(&progs, cfg.placement()), &mut balancer).unwrap();
 
         let pct = |r: &mtb_mpisim::engine::RunResult| {
@@ -58,6 +57,4 @@ fn main() {
          while the audited dynamic policy recognizes the balance and stays\n\
          (nearly) idle — the safety property the paper's conclusion asks for."
     );
-
-    mtb_bench::harness::print_summary();
 }

@@ -1,14 +1,13 @@
 //! EXT-1: the paper's future work — dynamic (automatic) priority
 //! balancing vs the best static configuration, on the workload where the
 //! paper argues it should matter most: SIESTA, whose bottleneck moves
-//! between iterations. Shows both generations of the policy: the v1
-//! purely reactive balancer and the v2 two-level controller (plan-primed
-//! feedforward + saturation-triggered remap) that `mtb table-dynamic`
-//! gates in CI.
+//! between iterations. Shows both modes of the two-level controller: v1,
+//! purely reactive (level 1 disabled, no plan), and v2, the full
+//! controller (plan-primed feedforward + saturation-triggered remap) that
+//! `mtb table-dynamic` gates in CI.
 
-use mtb_bench::run_case;
+use crate::run_case;
 use mtb_core::balance::{execute_with, StaticRun};
-use mtb_core::dynamic::{DynamicBalancer, DynamicConfig};
 use mtb_core::paper_cases::{siesta_cases, Case};
 use mtb_core::policy::PrioritySetting;
 use mtb_core::{ControllerConfig, TwoLevelController};
@@ -16,7 +15,7 @@ use mtb_trace::cycles_to_seconds;
 use mtb_workloads::metbench::MetBenchConfig;
 use mtb_workloads::siesta::SiestaConfig;
 
-fn main() {
+pub fn run() {
     println!("EXT-1 — dynamic priority balancing vs static configurations\n");
 
     // SIESTA: reference, best static (case C), v1 reactive, v2 two-level.
@@ -26,7 +25,7 @@ fn main() {
     let reference = run_case(&sprogs, &cases[0]);
     let best_static = run_case(&sprogs, &cases[2]); // case C
 
-    let mut reactive = DynamicBalancer::new(&cases[0].placement, DynamicConfig::default());
+    let mut reactive = super::reactive(&cases[0].placement);
     let dyn_v1 = execute_with(
         StaticRun::new(&sprogs, cases[0].placement.clone()),
         &mut reactive,

@@ -6,13 +6,13 @@
 //! that waiting ranks burn in spin loops — so the best-balanced case wins
 //! time, energy and energy-delay product simultaneously.
 
-use mtb_bench::run_case;
+use crate::run_case;
 use mtb_core::paper_cases::{btmz_cases, btmz_st_case};
 use mtb_trace::energy::{measure, EnergyModel};
 use mtb_trace::{cycles_to_seconds, Table};
 use mtb_workloads::btmz::BtMzConfig;
 
-fn main() {
+pub fn run() {
     println!("EXT-7 — energy to solution (BT-MZ, first-order power model)\n");
     let model = EnergyModel::default();
     let mut t = Table::new(&[
@@ -59,6 +59,4 @@ fn main() {
          much longer runs — worse energy AND far worse EDP. Balancing (case D)\n\
          improves every column at once: shorter runs burn fewer spin cycles."
     );
-
-    mtb_bench::harness::print_summary();
 }

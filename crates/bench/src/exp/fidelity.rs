@@ -1,7 +1,7 @@
 //! ABL-1: mesoscale-vs-cycle-model fidelity.
 //!
 //! The application experiments (Tables IV-VI) run on the mesoscale
-//! throughput model; this binary quantifies how well it tracks the
+//! throughput model; this experiment quantifies how well it tracks the
 //! cycle-level core across workload mixes and priority pairs — per-thread
 //! IPC from both models side by side, with the relative error.
 
@@ -36,7 +36,7 @@ fn meso_ipcs(wa: &Workload, wb: &Workload, pa: u8, pb: u8) -> [f64; 2] {
     [r[0], r[1]]
 }
 
-fn main() {
+pub fn run() {
     println!("ABL-1 — mesoscale vs cycle-level core model fidelity");
     println!("(per-thread IPC, {MEASURE} measured cycles after {WARMUP} warmup)\n");
 

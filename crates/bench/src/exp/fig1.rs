@@ -2,13 +2,13 @@
 //! synthetic imbalanced application — (a) the reference run, (b) the run
 //! with the bottleneck's priority raised.
 
-use mtb_bench::run_case;
+use crate::run_case;
 use mtb_core::paper_cases::Case;
 use mtb_core::policy::PrioritySetting;
 use mtb_trace::{cycles_to_seconds, render_gantt, GanttConfig};
 use mtb_workloads::synthetic::SyntheticConfig;
 
-fn main() {
+pub fn run() {
     let cfg = SyntheticConfig::default();
     let progs = cfg.programs();
 
@@ -47,6 +47,4 @@ fn main() {
         println!("{gantt}");
     }
     println!("legend: #=compute .=sync");
-
-    mtb_bench::harness::print_summary();
 }

@@ -6,7 +6,7 @@
 //! with a realistic timer tick and shows the patched kernel retains the
 //! benefit while the vanilla kernel regresses to the imbalanced baseline.
 
-use mtb_bench::harness::run_static;
+use crate::harness::run_static;
 use mtb_core::balance::StaticRun;
 use mtb_core::paper_cases::metbench_cases;
 use mtb_core::policy::PrioritySetting;
@@ -22,7 +22,7 @@ fn ticks() -> Vec<NoiseSource> {
         .collect()
 }
 
-fn main() {
+pub fn run() {
     println!("EXT-2 — kernel flavour vs balancing effectiveness (MetBench, case C priorities)\n");
     let cfg = MetBenchConfig::default();
     let progs = cfg.programs();
@@ -85,6 +85,4 @@ fn main() {
          its run matches the unbalanced reference, while the patched kernel\n\
          keeps the case-C gain even under interrupt noise."
     );
-
-    mtb_bench::harness::print_summary();
 }

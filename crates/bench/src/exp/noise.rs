@@ -6,14 +6,13 @@
 //! duty cycle and report the induced imbalance, then apply the dynamic
 //! balancer to claw the time back.
 
-use mtb_bench::harness::run_static;
+use crate::harness::run_static;
 use mtb_core::balance::{execute_with, StaticRun};
-use mtb_core::dynamic::DynamicBalancer;
 use mtb_oskernel::noise::interrupt_annoyance;
 use mtb_trace::{cycles_to_seconds, Table};
 use mtb_workloads::synthetic::SyntheticConfig;
 
-fn main() {
+pub fn run() {
     println!("EXT-3 — OS noise as an extrinsic imbalance source\n");
     // A *balanced* application: equal work on all four ranks.
     let cfg = SyntheticConfig {
@@ -41,7 +40,7 @@ fn main() {
         };
         let plain =
             run_static(StaticRun::new(&progs, cfg.placement()).with_noise(noise.clone())).unwrap();
-        let mut balancer = DynamicBalancer::with_defaults(&cfg.placement());
+        let mut balancer = super::reactive(&cfg.placement());
         let balanced = execute_with(
             StaticRun::new(&progs, cfg.placement()).with_noise(noise),
             &mut balancer,
@@ -57,6 +56,4 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-
-    mtb_bench::harness::print_summary();
 }

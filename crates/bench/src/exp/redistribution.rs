@@ -9,8 +9,8 @@
 //!   4. both combined: redistribute, then fix the residual granularity
 //!      imbalance with priorities chosen by the what-if predictor.
 
-use mtb_bench::harness::run_static;
-use mtb_bench::run_case;
+use crate::harness::run_static;
+use crate::run_case;
 use mtb_core::balance::StaticRun;
 use mtb_core::mapper::pair_by_load;
 use mtb_core::paper_cases::btmz_cases;
@@ -26,7 +26,7 @@ use mtb_workloads::loads;
 /// touched many times per solve, so data is much smaller than work).
 const BYTES_PER_INSTRUCTION: f64 = 0.001;
 
-fn main() {
+pub fn run() {
     println!("EXT-4 — priority balancing vs data redistribution (BT-MZ)\n");
     let zones = zone_sizes();
     let contiguous = contiguous_partition(4);
@@ -167,6 +167,4 @@ fn main() {
          be re-tuned per input. With coarse granularity (rows 5-6) the two\n\
          compose: priorities absorb the residual the partitioner cannot fix."
     );
-
-    mtb_bench::harness::print_summary();
 }

@@ -3,10 +3,10 @@
 //! EXPERIMENTS.md).
 //!
 //! ```sh
-//! cargo run -p mtb-bench --release --bin report > report.md
+//! cargo run -p mtb-bench --release --bin mtb -- exp report > report.md
 //! ```
 
-use mtb_bench::{run_case, run_cases};
+use crate::{run_case, run_cases};
 use mtb_core::paper_cases::{
     btmz_cases, btmz_st_case, metbench_cases, siesta_cases, siesta_st_case, Case,
 };
@@ -40,7 +40,7 @@ fn md_rows(
     out
 }
 
-fn main() {
+pub fn run() {
     println!("# mtbalance reproduction report\n");
     println!(
         "Deterministic regeneration of the paper's evaluation tables \

@@ -6,7 +6,7 @@
 //! cores (single node), comparing the identity schedule against
 //! mapper-paired placement plus predictor-chosen priorities.
 
-use mtb_bench::harness::run_static;
+use crate::harness::run_static;
 use mtb_core::balance::StaticRun;
 use mtb_core::mapper::pair_by_load;
 use mtb_core::policy::PrioritySetting;
@@ -25,7 +25,7 @@ fn works(n: usize) -> Vec<u64> {
         .collect()
 }
 
-fn main() {
+pub fn run() {
     println!("EXT-10 — scaling the method to more cores (single node)\n");
     let mut t = Table::new(&[
         "cores",
@@ -89,6 +89,4 @@ fn main() {
          grows: each SMT pair is balanced locally, so the benefit holds at\n\
          every scale."
     );
-
-    mtb_bench::harness::print_summary();
 }

@@ -6,12 +6,12 @@
 //! the conclusions are properties of the mechanism, not of one lucky
 //! profile.
 
-use mtb_bench::run_case;
+use crate::run_case;
 use mtb_core::paper_cases::siesta_cases;
 use mtb_trace::stats::Summary;
 use mtb_workloads::siesta::SiestaConfig;
 
-fn main() {
+pub fn run() {
     println!("EXT-9 — SIESTA conclusions across load-profile seeds\n");
     let cases = siesta_cases();
     let mut imp_c = Vec::new();
@@ -63,6 +63,4 @@ fn main() {
         "\nThe paper's qualitative claims (C helps, D inverts) hold for every\n\
          seed; only the magnitudes move with the load profile."
     );
-
-    mtb_bench::harness::print_summary();
 }

@@ -9,14 +9,14 @@
 //! compares the tuning landscape: the linear law is forgiving but cannot
 //! deliver the large share transfers the best static cases need.
 
-use mtb_bench::harness::run_static;
+use crate::harness::run_static;
 use mtb_core::balance::StaticRun;
 use mtb_core::policy::PrioritySetting;
 use mtb_smtsim::perfmodel::{MesoConfig, ShareLaw};
 use mtb_trace::{cycles_to_seconds, Table};
 use mtb_workloads::metbench::MetBenchConfig;
 
-fn main() {
+pub fn run() {
     println!("EXT-5 — exponential (POWER5) vs linear priority law, MetBench sweep\n");
     let cfg = MetBenchConfig::default();
     let progs = cfg.programs();
@@ -68,6 +68,4 @@ fn main() {
         "linear law: best at diff {} ({:.2}s) — smooth landscape, smaller peak gain.",
         best[1].0, best[1].1
     );
-
-    mtb_bench::harness::print_summary();
 }

@@ -16,15 +16,15 @@
 //! case — showing how much of the static-priority win a smarter wait
 //! already captures.
 
-use mtb_bench::harness::run_static;
-use mtb_bench::run_case;
+use crate::harness::run_static;
+use crate::run_case;
 use mtb_core::balance::StaticRun;
 use mtb_core::paper_cases::{btmz_cases, metbench_cases, Case};
 use mtb_oskernel::WaitPolicy;
 use mtb_trace::{cycles_to_seconds, Table};
 use mtb_workloads::{BtMzConfig, MetBenchConfig};
 
-fn main() {
+pub fn run() {
     println!("EXT-11 — MPI wait policy (Section VI's recommendation, quantified)\n");
 
     let apps: Vec<(&str, Vec<mtb_mpisim::program::Program>, Vec<Case>)> = vec![
@@ -92,6 +92,4 @@ fn main() {
          priorities for the rest. This is exactly why MPI libraries grew\n\
          yield/backoff waits in the years after the paper."
     );
-
-    mtb_bench::harness::print_summary();
 }

@@ -72,7 +72,7 @@ pub use mtb_snap::fnv1a;
 
 /// A deterministic per-case seed: a pure function of the case identity
 /// (name, priorities, placement), stable across processes and job
-/// counts. Sweep binaries that need case-local randomness derive it from
+/// counts. Sweeps that need case-local randomness derive it from
 /// this instead of global state, so a sweep's records are reproducible.
 pub fn case_seed(case: &Case) -> u64 {
     let mut key = String::new();
@@ -923,7 +923,7 @@ impl SweepRunner {
     }
 
     /// Run a fully-specified [`StaticRun`] through the cache. Covers the
-    /// extension binaries that vary kernel flavour, noise, fidelity,
+    /// extension experiments that vary kernel flavour, noise, fidelity,
     /// topology or wait policy beyond what a [`Case`] expresses.
     pub fn run_static(&self, run: StaticRun<'_>) -> Result<RunResult, BalanceError> {
         let t0 = Instant::now();
@@ -1004,7 +1004,7 @@ impl SweepRunner {
 
 /// [`SweepRunner::run_static`] on the global runner — the drop-in
 /// cached replacement for `mtb_core::balance::execute` in the extension
-/// binaries.
+/// experiments.
 pub fn run_static(run: StaticRun<'_>) -> Result<RunResult, BalanceError> {
     SweepRunner::global().run_static(run)
 }

@@ -1,19 +1,23 @@
 //! # mtb-bench — the benchmark harness
 //!
-//! One binary per table/figure of the paper (run with
-//! `cargo run -p mtb-bench --release --bin tableN`), plus Criterion
-//! benches for the performance-sensitive pieces. The binaries print the
-//! same rows the paper reports; `EXPERIMENTS.md` records the comparison.
+//! One driver binary, `mtb`, regenerates every table and figure of the
+//! paper (`mtb tables <1-6|all> [--gantt]`, from [`tables`]) and runs the
+//! report, fidelity and extension experiments (`mtb exp <NAME>`, from
+//! [`exp`]), plus Criterion benches for the performance-sensitive pieces.
+//! The commands print the same rows the paper reports; `EXPERIMENTS.md`
+//! records the comparison and `tests/golden/` pins every command's stdout.
 
 #![forbid(unsafe_code)]
 
 pub mod bisect;
 pub mod cli;
+pub mod exp;
 pub mod harness;
 pub mod lint;
 pub mod perf;
 pub mod suggest;
 pub mod table_dynamic;
+pub mod tables;
 
 // The lossless JSON codec moved to the checkpoint crate (`mtb-snap`);
 // the harness's run cache keeps using it from there.

@@ -73,19 +73,28 @@ fn dynamic_flag_reports_policy_activity() {
     assert!(stdout.contains(" remaps"), "two-level controller: {stdout}");
 }
 
-/// `mtb tables N [--gantt]` reproduces, byte for byte, the stdout of the
-/// former per-table binaries (snapshots under `tests/golden/`).
+fn golden(name: &str) -> String {
+    let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).expect("golden snapshot present")
+}
+
+/// `mtb tables N [--gantt]` and `mtb exp NAME` reproduce, byte for byte,
+/// the stdout of the former per-table and per-experiment binaries
+/// (snapshots under `tests/golden/`). `exp fidelity` takes about a minute
+/// in a debug build; CI diffs it against its snapshot in release.
 #[test]
 fn tables_match_the_golden_snapshots() {
-    let golden = |name: &str| {
-        let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
-        std::fs::read_to_string(&path).expect("golden snapshot present")
-    };
     let mut all_gantt = String::new();
-    for t in ["4", "5", "6"] {
+    for n in 1..=6 {
+        let t = &n.to_string();
         let (ok, stdout, stderr) = mtb(&["tables", t]);
         assert!(ok, "stderr: {stderr}");
         assert_eq!(stdout, golden(&format!("table{t}")), "mtb tables {t}");
+        if n <= 3 {
+            // Tables I-III have no figure: --gantt changes nothing.
+            all_gantt.push_str(&stdout);
+            continue;
+        }
         let (ok, stdout, stderr) = mtb(&["tables", t, "--gantt"]);
         assert!(ok, "stderr: {stderr}");
         assert_eq!(
@@ -97,7 +106,46 @@ fn tables_match_the_golden_snapshots() {
     }
     let (ok, stdout, _) = mtb(&["tables", "all", "--gantt"]);
     assert!(ok);
-    assert_eq!(stdout, all_gantt, "`all` is tables 4, 5 and 6 in order");
+    assert_eq!(stdout, all_gantt, "`all` is tables 1 to 6 in order");
+
+    for name in [
+        "fig1",
+        "report",
+        "dynamic",
+        "kernel",
+        "noise",
+        "redistribution",
+        "sharelaw",
+        "cluster",
+        "energy",
+        "control",
+        "seeds",
+        "scaling",
+        "waitpolicy",
+    ] {
+        let (ok, stdout, stderr) = mtb(&["exp", name]);
+        assert!(ok, "mtb exp {name}: {stderr}");
+        assert_eq!(stdout, golden(&format!("exp_{name}")), "mtb exp {name}");
+    }
+}
+
+/// Malformed option values are rejected with the option named, never
+/// replaced by a default (a full-scale cycle-accurate run takes a day).
+#[test]
+fn malformed_option_values_fail() {
+    for args in [
+        &["run", "--app", "metbench", "--scale", "abc"][..],
+        &["run", "--app", "metbench", "--noise", "80"],
+        &["run", "--app", "metbench", "--kernel", "foo"],
+        &["suggest", "--top", "x"],
+    ] {
+        let (ok, _, stderr) = mtb(args);
+        assert!(!ok, "mtb {args:?} must fail");
+        assert!(stderr.contains(args[args.len() - 2]), "{args:?}: {stderr}");
+    }
+    let (ok, _, stderr) = mtb(&["exp", "nonsense"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown experiment"), "{stderr}");
 }
 
 #[test]

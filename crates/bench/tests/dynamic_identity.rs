@@ -10,9 +10,8 @@
 
 use mtb_bench::lint::record_hash;
 use mtb_core::balance::{execute_with, prepare, StaticRun};
-use mtb_core::dynamic::{DynamicBalancer, DynamicConfig};
 use mtb_core::paper_cases::Case;
-use mtb_core::{ControllerConfig, TwoLevelController};
+use mtb_core::{ControllerConfig, DynamicConfig, TwoLevelController};
 use mtb_mpisim::engine::{Observer, RankWindow, Stepping};
 use mtb_oskernel::CtxAddr;
 use mtb_workloads::MetBenchConfig;
@@ -173,14 +172,22 @@ fn checkpoint_resume_mid_window_identical() {
     }
 }
 
-/// Feed a raw [`DynamicBalancer`] an adversarial window sequence and
-/// check the hysteresis property: for any pair, two priority changes in
-/// opposing directions never land within one cool-off window of each
-/// other — unless the second was an audit revert, which is exactly the
-/// mechanism allowed to move against the trend.
+/// Feed a reactive [`TwoLevelController`] (level 1 disabled, no progress
+/// model, so every window goes straight to level 2) an adversarial window
+/// sequence and check the hysteresis property: for any pair, two priority
+/// changes in opposing directions never land within one cool-off window
+/// of each other — unless the second was an audit revert, which is
+/// exactly the mechanism allowed to move against the trend.
 fn assert_hysteresis(comps: &[(u64, u64)], cfg: DynamicConfig) {
     let placement: Vec<CtxAddr> = (0..2).map(CtxAddr::from_cpu).collect();
-    let mut b = DynamicBalancer::new(&placement, cfg);
+    let mut b = TwoLevelController::new(
+        &placement,
+        ControllerConfig {
+            balance: cfg,
+            max_remaps: 0,
+            ..Default::default()
+        },
+    );
     let mut machine = mtb_oskernel::Machine::new(
         mtb_smtsim::chip::build_cores(1, false),
         mtb_oskernel::KernelConfig::patched(),

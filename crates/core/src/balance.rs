@@ -292,7 +292,7 @@ pub fn execute(run: StaticRun<'_>) -> Result<RunResult, BalanceError> {
 }
 
 /// Execute a run with a feedback observer (e.g.
-/// [`crate::dynamic::DynamicBalancer`]).
+/// [`crate::dynamic::TwoLevelController`]).
 pub fn execute_with(
     run: StaticRun<'_>,
     observer: &mut dyn Observer,

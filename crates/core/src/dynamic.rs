@@ -4,11 +4,13 @@
 //! automatically detect if a process deserves a higher amount of resources
 //! and which process should be deprived of those resources."
 //!
-//! [`DynamicBalancer`] is that algorithm, implemented as an
-//! [`Observer`] over the engine's synchronization epochs. At every epoch
-//! it compares, per core, the compute time of the two resident ranks in
-//! the window just finished (smoothed with an EWMA), and sets the pair's
-//! priorities so the slower rank gets more decode slots:
+//! [`TwoLevelController`] is that algorithm, implemented as an
+//! [`Observer`] over the engine's synchronization epochs, and it is the
+//! crate's one controller entry point. Its level 2 — the within-core
+//! priority balancer, a crate-internal component — compares, per core,
+//! the compute time of the two resident ranks in the window just finished
+//! (smoothed with an EWMA), and sets the pair's priorities so the slower
+//! rank gets more decode slots:
 //!
 //! * ratio below `threshold` — keep both at MEDIUM;
 //! * moderately imbalanced — boost the heavy rank to MEDIUM-HIGH (diff 1);
@@ -29,14 +31,15 @@
 //!    new bottleneck), the change is reverted and the pair frozen for a
 //!    cool-off period.
 //!
-//! [`TwoLevelController`] wraps the balancer in the full v2 scheme: a
+//! Around level 2 the controller adds the rest of the v2 scheme: a
 //! [`ProgressModel`](crate::observe::ProgressModel) turns retired
 //! instruction counts into per-rank progress deficits against the static
 //! plan (level 2's inputs), and when intra-core tuning saturates — every
 //! imbalanced pair already at the difference cap or frozen — while the
 //! cross-core load split stays lopsided, level 1 remaps ranks across
 //! cores ([`crate::remap::realize_placement`]) and lets level 2 retune
-//! the new pairs.
+//! the new pairs. With `max_remaps: 0` and no progress model the
+//! controller is the purely reactive level-2 balancer.
 
 use crate::observe::ProgressModel;
 use mtb_mpisim::engine::{Observer, RankWindow};
@@ -192,9 +195,9 @@ struct PairState {
     last_change_at: usize,
 }
 
-/// The feedback balancer.
+/// The feedback balancer: the two-level controller's level 2.
 #[derive(Debug)]
-pub struct DynamicBalancer {
+pub(crate) struct DynamicBalancer {
     cfg: DynamicConfig,
     /// Pairs of ranks sharing a core, derived from the placement.
     pairs: Vec<(usize, usize)>,
@@ -229,7 +232,7 @@ pub struct DynamicBalancer {
 impl DynamicBalancer {
     /// Build a balancer for ranks placed as `placement` (same vector the
     /// engine uses).
-    pub fn new(placement: &[mtb_oskernel::CtxAddr], cfg: DynamicConfig) -> DynamicBalancer {
+    pub(crate) fn new(placement: &[mtb_oskernel::CtxAddr], cfg: DynamicConfig) -> DynamicBalancer {
         let mut pairs = Vec::new();
         for i in 0..placement.len() {
             for j in (i + 1)..placement.len() {
@@ -253,28 +256,23 @@ impl DynamicBalancer {
         }
     }
 
-    /// With default tunables.
-    pub fn with_defaults(placement: &[mtb_oskernel::CtxAddr]) -> DynamicBalancer {
-        DynamicBalancer::new(placement, DynamicConfig::default())
-    }
-
     /// Priority changes made so far.
-    pub fn adjustments(&self) -> usize {
+    pub(crate) fn adjustments(&self) -> usize {
         self.adjustments
     }
 
     /// Audited reverts performed so far.
-    pub fn reverts(&self) -> usize {
+    pub(crate) fn reverts(&self) -> usize {
         self.reverts
     }
 
     /// Currently applied per-rank priorities.
-    pub fn current_priorities(&self) -> &[u8] {
+    pub(crate) fn current_priorities(&self) -> &[u8] {
         &self.current
     }
 
     /// Smoothed per-rank compute-time estimates (0.0 = no sample yet).
-    pub fn smoothed(&self) -> &[f64] {
+    pub(crate) fn smoothed(&self) -> &[f64] {
         &self.smooth
     }
 
@@ -282,14 +280,14 @@ impl DynamicBalancer {
     /// (the progress-equalization hook). Weights multiply the smoothed
     /// compute times, so a rank behind its static plan looks heavier than
     /// its last window alone suggests.
-    pub fn set_weights(&mut self, weights: &[f64]) {
+    pub(crate) fn set_weights(&mut self, weights: &[f64]) {
         self.weights.clear();
         self.weights.extend_from_slice(weights);
     }
 
     /// Install per-rank workload profiles: pair targets then come from
     /// the Table II/III decode-share model instead of the ratio ladder.
-    pub fn set_profiles(&mut self, profiles: Vec<WorkloadProfile>) {
+    pub(crate) fn set_profiles(&mut self, profiles: Vec<WorkloadProfile>) {
         self.profiles = Some(profiles);
     }
 
@@ -297,7 +295,7 @@ impl DynamicBalancer {
     /// feedforward signal); the expectation previously installed shifts
     /// to describe the window just measured. Called by the two-level
     /// controller at every decision epoch.
-    pub fn set_plan(&mut self, plan: &[f64]) {
+    pub(crate) fn set_plan(&mut self, plan: &[f64]) {
         std::mem::swap(&mut self.plan, &mut self.plan_prev);
         self.plan.clear();
         self.plan.extend_from_slice(plan);
@@ -310,7 +308,7 @@ impl DynamicBalancer {
     /// Reset every rank to MEDIUM and clear the audit state — called by
     /// the two-level controller after a cross-core remap, when the old
     /// intra-pair decisions no longer describe any live pair.
-    pub fn reset_priorities(&mut self, machine: &mut Machine) {
+    pub(crate) fn reset_priorities(&mut self, machine: &mut Machine) {
         for r in 0..self.current.len() {
             if self.current[r] != 4 && machine.set_priority_procfs(r, 4).is_ok() {
                 self.current[r] = 4;
@@ -388,7 +386,7 @@ impl DynamicBalancer {
     /// structure offers few decision points (BT-MZ's neighbour exchanges
     /// reach a global barrier only at the end) still run the bulk of
     /// their work under the plan's setting.
-    pub fn prime(&mut self, machine: &mut Machine, work: &[f64]) {
+    pub(crate) fn prime(&mut self, machine: &mut Machine, work: &[f64]) {
         self.refresh_pairs(machine, work.len());
         for p in 0..self.pairs.len() {
             let (a, b) = self.pairs[p];
@@ -409,7 +407,7 @@ impl DynamicBalancer {
     /// further: each is either balanced (ratio below threshold), frozen
     /// by an audit, or already at the bounded-difference cap. The
     /// two-level controller uses this as the level-1 trigger.
-    pub fn saturated(&self, epoch: usize) -> bool {
+    pub(crate) fn saturated(&self, epoch: usize) -> bool {
         for (p, &(a, b)) in self.pairs.iter().enumerate() {
             let (sa, sb) = self.pair_signals(a, b);
             if sa <= 0.0 && sb <= 0.0 {
@@ -519,9 +517,8 @@ impl DynamicBalancer {
 
 impl Observer for DynamicBalancer {
     fn on_epoch(&mut self, epoch: usize, windows: &[RankWindow], machine: &mut Machine) {
-        // Re-derive the core pairs from the live machine: an adaptive
-        // mapper (crate::remap) may have migrated ranks since the last
-        // epoch.
+        // Re-derive the core pairs from the live machine: a level-1 remap
+        // may have migrated ranks since the last epoch.
         let n = windows.len();
         self.refresh_pairs(machine, n);
 
@@ -629,8 +626,7 @@ impl Observer for DynamicBalancer {
     }
 }
 
-/// Tunables of the two-level controller wrapped around
-/// [`DynamicBalancer`].
+/// Tunables of the two-level controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Level-2 (within-core priority) policy tunables.
@@ -730,7 +726,7 @@ impl ControllerConfig {
 }
 
 /// The v2 online controller: progress-equalizing priority tuning within
-/// cores (level 2, a [`DynamicBalancer`] fed progress deficits from a
+/// cores (level 2, the feedback balancer fed progress deficits from a
 /// [`ProgressModel`]), cross-core remapping when that saturates (level 1,
 /// via [`crate::remap::realize_placement`]).
 ///
@@ -996,15 +992,6 @@ impl Observer for TwoLevelController {
     }
 }
 
-/// Accumulate the critical-path slack of a window set: how many cycles the
-/// biggest computer exceeds the smallest (a cheap imbalance signal for
-/// logging).
-pub fn window_spread(windows: &[RankWindow]) -> Cycles {
-    let max = windows.iter().map(|w| w.compute).max().unwrap_or(0);
-    let min = windows.iter().map(|w| w.compute).min().unwrap_or(0);
-    max - min
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1012,6 +999,10 @@ mod tests {
     use mtb_oskernel::CtxAddr;
     use mtb_workloads::metbench::MetBenchConfig;
     use mtb_workloads::synthetic::SyntheticConfig;
+
+    fn reactive(placement: &[CtxAddr]) -> DynamicBalancer {
+        DynamicBalancer::new(placement, DynamicConfig::default())
+    }
 
     fn windows(c: &[Cycles]) -> Vec<RankWindow> {
         c.iter()
@@ -1027,13 +1018,13 @@ mod tests {
     #[test]
     fn pairs_derive_from_placement() {
         let placement: Vec<CtxAddr> = (0..4).map(CtxAddr::from_cpu).collect();
-        let b = DynamicBalancer::with_defaults(&placement);
+        let b = reactive(&placement);
         assert_eq!(b.pairs, vec![(0, 1), (2, 3)]);
     }
 
     #[test]
     fn ratio_targets_are_bounded() {
-        let b = DynamicBalancer::with_defaults(&[]);
+        let b = reactive(&[]);
         assert_eq!(b.target_for_ratio(1.0), (4, 4));
         assert_eq!(b.target_for_ratio(1.3), (5, 4));
         assert_eq!(b.target_for_ratio(5.0), (6, 4));
@@ -1051,12 +1042,6 @@ mod tests {
     }
 
     #[test]
-    fn window_spread_measures_max_minus_min() {
-        assert_eq!(window_spread(&windows(&[10, 40, 25, 40])), 30);
-        assert_eq!(window_spread(&[]), 0);
-    }
-
-    #[test]
     fn dynamic_policy_beats_unbalanced_reference_on_metbench() {
         // The headline claim of the future-work section: the automatic
         // policy should recover (most of) the static win without manual
@@ -1070,7 +1055,7 @@ mod tests {
 
         let reference = execute(StaticRun::new(&progs, cfg.placement())).unwrap();
 
-        let mut balancer = DynamicBalancer::with_defaults(&cfg.placement());
+        let mut balancer = reactive(&cfg.placement());
         let dynamic = execute_with(StaticRun::new(&progs, cfg.placement()), &mut balancer).unwrap();
 
         assert!(balancer.adjustments() > 0, "policy must have acted");
@@ -1092,7 +1077,7 @@ mod tests {
             ..Default::default()
         };
         let progs = cfg.programs();
-        let mut balancer = DynamicBalancer::with_defaults(&placement);
+        let mut balancer = reactive(&placement);
         let _ = execute_with(StaticRun::new(&progs, placement.clone()), &mut balancer).unwrap();
         let p = balancer.current_priorities();
         assert!(p[0].abs_diff(p[1]) <= 2);
@@ -1116,7 +1101,7 @@ mod tests {
 
         let plain =
             execute(StaticRun::new(&progs, cfg.placement()).with_noise(noise.clone())).unwrap();
-        let mut balancer = DynamicBalancer::with_defaults(&cfg.placement());
+        let mut balancer = reactive(&cfg.placement());
         let dynamic = execute_with(
             StaticRun::new(&progs, cfg.placement()).with_noise(noise),
             &mut balancer,
@@ -1135,7 +1120,7 @@ mod tests {
         // Drive the observer by hand: adjustment at epoch 0, worse window
         // at epoch 1 -> revert + freeze.
         let placement: Vec<CtxAddr> = (0..2).map(CtxAddr::from_cpu).collect();
-        let mut b = DynamicBalancer::with_defaults(&placement);
+        let mut b = reactive(&placement);
         let mut machine = mtb_oskernel::Machine::new(
             mtb_smtsim::chip::build_cores(1, false),
             mtb_oskernel::KernelConfig::patched(),
@@ -1160,7 +1145,7 @@ mod tests {
         // A ratio that collapses right after a boost must not produce an
         // immediate de-boost: the opposing step waits out the cool-off.
         let placement: Vec<CtxAddr> = (0..2).map(CtxAddr::from_cpu).collect();
-        let mut b = DynamicBalancer::with_defaults(&placement);
+        let mut b = reactive(&placement);
         let mut machine = mtb_oskernel::Machine::new(
             mtb_smtsim::chip::build_cores(1, false),
             mtb_oskernel::KernelConfig::patched(),
@@ -1203,17 +1188,83 @@ mod tests {
         let placement: Vec<CtxAddr> = (0..4).map(CtxAddr::from_cpu).collect();
 
         let reference = execute(StaticRun::new(&progs, placement.clone())).unwrap();
+        // Capture the final placement through a probe observer layered
+        // after the controller.
+        struct Probe(Vec<CtxAddr>);
+        impl Observer for Probe {
+            fn on_epoch(&mut self, _: usize, w: &[RankWindow], m: &mut Machine) {
+                self.0 = (0..w.len()).map(|r| m.pcb(r).unwrap().affinity).collect();
+            }
+        }
         let mut ctl = TwoLevelController::with_defaults(&placement);
-        let dynamic = execute_with(StaticRun::new(&progs, placement), &mut ctl).unwrap();
+        let mut probe = Probe(Vec::new());
+        let mut combo = crate::remap::Composite::new(vec![&mut ctl, &mut probe]);
+        let dynamic = execute_with(StaticRun::new(&progs, placement), &mut combo).unwrap();
 
         assert_eq!(ctl.remaps(), 1, "one corrective remap");
         assert!(ctl.adjustments() > 0, "level 2 retunes the new pairs");
+        let cores: Vec<usize> = probe.0.iter().map(|c| c.core).collect();
+        assert_ne!(
+            cores[2], cores[3],
+            "the heavy ranks must end up on different cores: {cores:?}"
+        );
         assert!(
             (dynamic.total_cycles as f64) < reference.total_cycles as f64 * 0.92,
             "two-level control must beat the reference clearly: {} vs {}",
             dynamic.total_cycles,
             reference.total_cycles
         );
+    }
+
+    /// The reactive balancer is the test oracle for the controller's
+    /// level 2: with level 1 disabled and no progress model, the
+    /// two-level controller must reproduce its runs record for record.
+    #[test]
+    fn controller_without_remaps_matches_the_reactive_balancer() {
+        let metbench = MetBenchConfig {
+            iterations: 12,
+            scale: 2e-3,
+            ..Default::default()
+        };
+        let siesta = mtb_workloads::siesta::SiestaConfig {
+            iterations: 12,
+            scale: 2e-3,
+            ..Default::default()
+        };
+        for (app, progs, placement) in [
+            ("MetBench", metbench.programs(), metbench.placement()),
+            ("SIESTA", siesta.programs(), siesta.placement_paired()),
+        ] {
+            let mut oracle = reactive(&placement);
+            let expect = execute_with(StaticRun::new(&progs, placement.clone()), &mut oracle);
+            let cfg = ControllerConfig {
+                max_remaps: 0,
+                ..Default::default()
+            };
+            let mut ctl = TwoLevelController::new(&placement, cfg);
+            let got = execute_with(StaticRun::new(&progs, placement), &mut ctl);
+            assert_eq!(got.unwrap(), expect.unwrap(), "{app}: run records differ");
+            assert!(oracle.adjustments() > 0, "{app}: the oracle must act");
+            assert_eq!(ctl.adjustments(), oracle.adjustments(), "{app}");
+            assert_eq!(ctl.reverts(), oracle.reverts(), "{app}");
+            assert_eq!(ctl.current_priorities(), oracle.current_priorities());
+            assert_eq!(ctl.remaps(), 0, "{app}");
+        }
+    }
+
+    #[test]
+    fn controller_leaves_balanced_placements_alone() {
+        let progs = SyntheticConfig {
+            skew: 1.0,
+            base_work: 10_000_000,
+            iterations: 8,
+            ..Default::default()
+        }
+        .programs();
+        let placement: Vec<CtxAddr> = (0..4).map(CtxAddr::from_cpu).collect();
+        let mut ctl = TwoLevelController::with_defaults(&placement);
+        let _ = execute_with(StaticRun::new(&progs, placement), &mut ctl).unwrap();
+        assert_eq!(ctl.remaps(), 0, "no reason to migrate a balanced run");
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! * [`paper_cases`] — the exact case configurations of Tables IV-VI
 //!   (mappings and priorities the authors chose by hand).
 //! * [`dynamic`] — the paper's proposed future work (Section VIII):
-//!   a policy that observes per-iteration compute/wait times and adjusts
-//!   priorities automatically, with bounded differences and hysteresis so
-//!   it cannot run into the case-D inversion; and the v2 two-level
-//!   controller that equalizes progress against the static plan's
-//!   expectation and remaps ranks across cores when intra-core tuning
-//!   saturates.
+//!   the two-level controller. Level 2 observes per-iteration
+//!   compute/wait times and adjusts priorities automatically, with
+//!   bounded differences and hysteresis so it cannot run into the case-D
+//!   inversion, equalizing progress against the static plan's
+//!   expectation; level 1 remaps ranks across cores when intra-core
+//!   tuning saturates.
 //! * [`predictor`] — the priority-pair search: evaluates candidate pairs
 //!   through the decode-share pair model in `mtb_smtsim::perfmodel`
 //!   (`pair_rates`, `pair_makespan`) and picks the pair minimizing the
@@ -28,8 +28,8 @@
 //! * [`observe`] — epoch-window recording for offline analysis of
 //!   dynamic behaviour.
 //! * [`remap`] — online rank remapping: the Section VII-B pairing
-//!   argument applied at run time via process migration, composable with
-//!   the dynamic balancer.
+//!   argument applied at run time via process migration (the
+//!   controller's level 1), plus observer composition.
 //! * [`redistribution`] — the related-work baseline (Section III):
 //!   METIS/LPT-style data repartitioning, with its movement cost, so the
 //!   two approaches can be compared head-to-head (EXT-4).
@@ -54,7 +54,7 @@ pub use balance::execute_with;
 pub use balance::{
     execute, execute_chunked, prepare, BalanceError, CheckpointSink, NoCheckpoint, StaticRun,
 };
-pub use dynamic::{ControllerConfig, DynamicBalancer, DynamicConfig, TwoLevelController};
+pub use dynamic::{ControllerConfig, DynamicConfig, TwoLevelController};
 pub use mapper::pair_by_load;
 pub use observe::ProgressModel;
 pub use policy::PrioritySetting;

@@ -546,7 +546,8 @@ impl Machine {
     /// Migrate `pid` to a different hardware context (it must be free).
     /// The process's workload, progress accounting and priority wish move
     /// with it; its old context drops to the idle priority. This is the
-    /// mechanism an adaptive mapper uses to re-pair ranks at run time.
+    /// mechanism the controller's level-1 remap uses to re-pair ranks at
+    /// run time.
     pub fn migrate(&mut self, pid: usize, to: CtxAddr) -> Result<(), MachineError> {
         if to.core >= self.cores.len() {
             return Err(MachineError::NoSuchContext);

@@ -10,13 +10,13 @@ use mtbalance::balance::remap::Composite;
 use mtbalance::trace::stats::histogram;
 use mtbalance::workloads::siesta::SiestaConfig;
 use mtbalance::{
-    cycles_to_seconds, execute, execute_with, DynamicBalancer, DynamicConfig, Machine, Observer,
-    RankWindow, StaticRun,
+    cycles_to_seconds, execute, execute_with, ControllerConfig, Machine, Observer, RankWindow,
+    StaticRun, TwoLevelController,
 };
 
-/// Wraps the balancer to log what it does at each synchronization epoch.
+/// Wraps the controller to log what it does at each synchronization epoch.
 struct LoggingBalancer {
-    inner: DynamicBalancer,
+    inner: TwoLevelController,
     log_every: usize,
 }
 
@@ -48,7 +48,14 @@ fn main() {
     let reference = execute(StaticRun::new(&progs, placement.clone())).unwrap();
 
     let mut obs = LoggingBalancer {
-        inner: DynamicBalancer::new(&placement, DynamicConfig::default()),
+        // Reactive mode: priority feedback only, no cross-core remap.
+        inner: TwoLevelController::new(
+            &placement,
+            ControllerConfig {
+                max_remaps: 0,
+                ..Default::default()
+            },
+        ),
         log_every: 8,
     };
     let mut recorder = WindowRecorder::new();

@@ -50,7 +50,7 @@ pub use mtb_workloads as workloads;
 // The common API surface, flattened for convenience.
 pub use mtb_core::analysis::{characterize, render_case_table, CaseRow};
 pub use mtb_core::balance::{execute, execute_with, StaticRun};
-pub use mtb_core::dynamic::{DynamicBalancer, DynamicConfig};
+pub use mtb_core::dynamic::{ControllerConfig, DynamicConfig, TwoLevelController};
 pub use mtb_core::mapper::pair_by_load;
 pub use mtb_core::paper_cases;
 pub use mtb_core::policy::PrioritySetting;

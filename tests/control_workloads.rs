@@ -4,7 +4,7 @@
 
 use mtbalance::balance::paper_cases::{btmz_cases, btmz_paired_placement};
 use mtbalance::workloads::spmz::{MzKind, SpMzConfig};
-use mtbalance::{execute, execute_with, DynamicBalancer, StaticRun};
+use mtbalance::{execute, execute_with, ControllerConfig, StaticRun, TwoLevelController};
 
 fn cfg(kind: MzKind) -> SpMzConfig {
     let mut c = SpMzConfig::tiny(kind);
@@ -50,7 +50,11 @@ fn dynamic_policy_stays_idle_on_balanced_workloads() {
         let c = cfg(kind);
         let progs = c.programs();
         let reference = execute(StaticRun::new(&progs, c.placement())).unwrap();
-        let mut balancer = DynamicBalancer::with_defaults(&c.placement());
+        let reactive = ControllerConfig {
+            max_remaps: 0,
+            ..Default::default()
+        };
+        let mut balancer = TwoLevelController::new(&c.placement(), reactive);
         let dynamic = execute_with(StaticRun::new(&progs, c.placement()), &mut balancer).unwrap();
         assert_eq!(
             balancer.adjustments(),

@@ -5,9 +5,19 @@ use mtbalance::workloads::loads;
 use mtbalance::workloads::metbench::MetBenchConfig;
 use mtbalance::workloads::siesta::SiestaConfig;
 use mtbalance::{
-    best_priority_pair, execute, execute_with, DynamicBalancer, DynamicConfig, PrioritySetting,
-    StaticRun,
+    best_priority_pair, execute, execute_with, ControllerConfig, CtxAddr, PrioritySetting,
+    StaticRun, TwoLevelController,
 };
+
+/// The purely reactive controller: level 1 (cross-core remap) disabled
+/// and no progress model, so only the level-2 priority feedback acts.
+fn reactive(placement: &[CtxAddr]) -> TwoLevelController {
+    let cfg = ControllerConfig {
+        max_remaps: 0,
+        ..Default::default()
+    };
+    TwoLevelController::new(placement, cfg)
+}
 
 #[test]
 fn dynamic_policy_recovers_most_of_the_static_metbench_win() {
@@ -25,7 +35,7 @@ fn dynamic_policy_recovers_most_of_the_static_metbench_win() {
     )
     .unwrap();
 
-    let mut balancer = DynamicBalancer::with_defaults(&cfg.placement());
+    let mut balancer = reactive(&cfg.placement());
     let dynamic = execute_with(StaticRun::new(&progs, cfg.placement()), &mut balancer).unwrap();
 
     let imp = |r: &mtbalance::RunResult| {
@@ -51,7 +61,7 @@ fn dynamic_policy_helps_siesta_where_static_cannot_track_the_bottleneck() {
     let placement = cfg.placement_paired();
 
     let reference = execute(StaticRun::new(&progs, placement.clone())).unwrap();
-    let mut balancer = DynamicBalancer::new(&placement, DynamicConfig::default());
+    let mut balancer = reactive(&placement);
     let dynamic = execute_with(StaticRun::new(&progs, placement), &mut balancer).unwrap();
 
     assert!(balancer.adjustments() > 0);
@@ -116,7 +126,7 @@ fn audited_policy_contains_damage_on_pure_noise_imbalance() {
     let noise = interrupt_annoyance(2, 1_500_000, 7_500, 500_000, 50_000);
 
     let plain = execute(StaticRun::new(&progs, cfg.placement()).with_noise(noise.clone())).unwrap();
-    let mut balancer = DynamicBalancer::with_defaults(&cfg.placement());
+    let mut balancer = reactive(&cfg.placement());
     let dynamic = execute_with(
         StaticRun::new(&progs, cfg.placement()).with_noise(noise),
         &mut balancer,
