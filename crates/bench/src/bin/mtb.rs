@@ -57,8 +57,8 @@ USAGE:
 APPS:   metbench | btmz | siesta | synthetic
 
 EXPERIMENTS (mtb exp <NAME>; EXPERIMENTS.md has the write-ups):
-    fig1 report fidelity dynamic kernel noise redistribution sharelaw
-    cluster energy control seeds scaling waitpolicy
+    fig1 report fidelity ablation dynamic kernel noise redistribution
+    sharelaw cluster energy control seeds scaling waitpolicy
 
 RUN OPTIONS:
     --case <ST|A|B|C|D>     paper case configuration     [default: A]
@@ -134,7 +134,7 @@ PARALLELISM:
                             intra-run core shards draw from the same budget,
                             so <n> bounds live threads no matter how the work
                             splits. Thread count never changes results — the
-                            bench scaling-2t/4t/8t sweeps verify bit-identical
+                            bench scaling-2t/4t sweeps verify bit-identical
                             record hashes at every count and fail on drift.
 ";
 
@@ -513,11 +513,10 @@ fn ci_run<'a>(
     stepping: Stepping,
     cycle: bool,
 ) -> StaticRun<'a> {
-    let threads = std::env::var("MTB_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1);
+    // MTB_JOBS sets the intra-run thread count (default 1); read once so
+    // a malformed value warns once per process, not once per run.
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let threads = *THREADS.get_or_init(|| mtb_pool::jobs_from_env(1));
     let mut run = StaticRun::new(programs, case.placement.clone())
         .with_priorities(case.priorities.clone())
         .with_stepping(stepping)
@@ -729,9 +728,8 @@ fn cmd_table_dynamic(args: &[String]) -> CmdResult {
     let mut ov = AppOverrides::from_opts(&opts)?;
     ov.scale = Some(ov.scale.unwrap_or(if smoke { 1e-3 } else { 1.0 }));
     let jobs = opt(&opts, "jobs")?
-        .or_else(|| std::env::var("MTB_JOBS").ok()?.parse().ok())
         .filter(|&n: &usize| n > 0)
-        .unwrap_or(4);
+        .unwrap_or_else(|| mtb_pool::jobs_from_env(4));
     let cfg = mtb_core::ControllerConfig::default();
 
     let rows = td::run_report(ov, &cfg, jobs).map_err(|e| format!("table-dynamic: {e}"))?;

@@ -1,8 +1,10 @@
-//! The paper's figure, the reproduction report, the model-fidelity
-//! ablation and the extension experiments, as run by `mtb exp <NAME>`.
+//! The paper's figure, the reproduction report, the model-fidelity and
+//! cycle-core ablations and the extension experiments, as run by
+//! `mtb exp <NAME>`.
 //! Each module's `run` prints its experiment to stdout; `EXPERIMENTS.md`
 //! records the results.
 
+mod ablation;
 mod cluster;
 mod control;
 mod dynamic;
@@ -22,10 +24,11 @@ use mtb_core::{ControllerConfig, TwoLevelController};
 use mtb_oskernel::CtxAddr;
 
 /// Every experiment, by the name `mtb exp` takes, with its entry point.
-pub const EXPERIMENTS: [(&str, fn()); 14] = [
+pub const EXPERIMENTS: [(&str, fn()); 15] = [
     ("fig1", fig1::run),
     ("report", report::run),
     ("fidelity", fidelity::run),
+    ("ablation", ablation::run),
     ("dynamic", dynamic::run),
     ("kernel", kernel::run),
     ("noise", noise::run),

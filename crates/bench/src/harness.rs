@@ -575,10 +575,30 @@ fn default_run_dir() -> PathBuf {
 }
 
 fn default_checkpoint_every() -> Option<u64> {
-    std::env::var("MTB_CHECKPOINT_EVERY")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
+    let raw = std::env::var("MTB_CHECKPOINT_EVERY").ok();
+    let (every, warning) = parse_checkpoint_every(raw.as_deref());
+    if let Some(w) = warning {
+        eprintln!("mtb: {w}");
+    }
+    every
+}
+
+/// Resolve an `MTB_CHECKPOINT_EVERY` value into `(interval, warning)`.
+/// Unset, empty or `0` disables checkpointing; anything unparsable
+/// disables it too, with a warning naming the value.
+fn parse_checkpoint_every(raw: Option<&str>) -> (Option<u64>, Option<String>) {
+    let Some(raw) = raw.filter(|r| !r.trim().is_empty()) else {
+        return (None, None);
+    };
+    match raw.trim().parse::<u64>() {
+        Ok(n) => ((n > 0).then_some(n), None),
+        Err(_) => (
+            None,
+            Some(format!(
+                "MTB_CHECKPOINT_EVERY={raw:?} is not an event count; checkpointing stays off"
+            )),
+        ),
+    }
 }
 
 impl Default for SweepOptions {
@@ -1316,6 +1336,20 @@ mod tests {
         assert_eq!(o.checkpoint_every, Some(32));
         let o = SweepOptions::from_args(args(&["--checkpoint-every", "0"]));
         assert_eq!(o.checkpoint_every, None, "0 disables checkpointing");
+    }
+
+    #[test]
+    fn checkpoint_every_env_values_parse_or_warn() {
+        assert_eq!(parse_checkpoint_every(None), (None, None));
+        assert_eq!(parse_checkpoint_every(Some(" ")), (None, None));
+        assert_eq!(parse_checkpoint_every(Some("0")), (None, None));
+        assert_eq!(parse_checkpoint_every(Some(" 500 ")), (Some(500), None));
+        for bad in ["abc", "-5", "1e3", "10k"] {
+            let (every, warn) = parse_checkpoint_every(Some(bad));
+            assert_eq!(every, None, "{bad:?} must not checkpoint");
+            let w = warn.unwrap_or_else(|| panic!("{bad:?} must warn"));
+            assert!(w.contains(bad), "warning names the bad value: {w}");
+        }
     }
 
     #[test]

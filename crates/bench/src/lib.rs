@@ -1,9 +1,10 @@
 //! # mtb-bench — the benchmark harness
 //!
 //! One driver binary, `mtb`, regenerates every table and figure of the
-//! paper (`mtb tables <1-6|all> [--gantt]`, from [`tables`]) and runs the
-//! report, fidelity and extension experiments (`mtb exp <NAME>`, from
-//! [`exp`]), plus Criterion benches for the performance-sensitive pieces.
+//! paper (`mtb tables <1-6|all> [--gantt]`, from [`tables`]), runs the
+//! report, ablation and extension experiments (`mtb exp <NAME>`, from
+//! [`exp`]) and times the fast paths against their references
+//! (`mtb bench`, from [`perf`]).
 //! The commands print the same rows the paper reports; `EXPERIMENTS.md`
 //! records the comparison and `tests/golden/` pins every command's stdout.
 

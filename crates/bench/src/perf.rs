@@ -74,8 +74,9 @@ const KERNEL_EPOCH: u64 = 50_000;
 
 /// Intra-run worker-thread counts the scaling sweeps measure, and the
 /// sweep each lands in. The reference is always the same run at 1 thread.
-const SCALING_THREADS: [(usize, &str); 3] =
-    [(2, "scaling-2t"), (4, "scaling-4t"), (8, "scaling-8t")];
+/// Every scaling case has 4 shards (share groups: one core each, or one
+/// two-core L2 domain each for BT-MZ), so more threads measure nothing more.
+const SCALING_THREADS: [(usize, &str); 2] = [(2, "scaling-2t"), (4, "scaling-4t")];
 
 /// The Table-III priority ladder the core sweeps walk: the normal-mode
 /// rows plus the special decode modes (background thread `(0,1)`,
@@ -427,7 +428,7 @@ fn engine_entry(sweep: &'static str, programs: &[Program], case: &Case) -> Bench
 /// pool), then [`TIMING_REPS`] interleaved repetitions keeping the
 /// per-thread-count minimum. The shared 1-thread reference is re-timed
 /// in the same interleave so machine-state drift cancels across all
-/// four rows instead of only favouring whichever ran last.
+/// three rows instead of only favouring whichever ran last.
 fn scaling_case(
     label: &str,
     programs: &[Program],
@@ -483,11 +484,11 @@ fn one_rank_per_core(ranks: usize) -> Vec<CtxAddr> {
 
 /// The intra-run scaling sweeps: the three paper workloads pinned
 /// one-rank-per-core on a small cluster so every core is an independent
-/// shard, run cycle-accurately at 1/2/4/8 worker threads. Worker threads
+/// shard, run cycle-accurately at 1/2/4 worker threads. Worker threads
 /// are drawn from the global permit budget, so the budget total is
 /// temporarily raised to the largest requested count (and restored
 /// after) — otherwise a `--jobs 1` invocation would measure 1-thread
-/// runs four times over.
+/// runs three times over.
 fn scaling_sweeps(smoke: bool, entries: &mut Vec<BenchEntry>) {
     let budget = mtb_pool::global_budget();
     let prev_total = budget.total();
@@ -799,7 +800,7 @@ pub fn run(smoke: bool) -> BenchReport {
         entries.push(engine_entry("table6-siesta", &si.programs(), &case));
     }
 
-    // Scaling sweeps: sharded stepping at 2/4/8 intra-run worker threads
+    // Scaling sweeps: sharded stepping at 2/4 intra-run worker threads
     // vs the 1-thread reference, bit-identical records required.
     scaling_sweeps(smoke, &mut entries);
 

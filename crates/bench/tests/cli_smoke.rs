@@ -111,6 +111,7 @@ fn tables_match_the_golden_snapshots() {
     for name in [
         "fig1",
         "report",
+        "ablation",
         "dynamic",
         "kernel",
         "noise",
@@ -146,6 +147,63 @@ fn malformed_option_values_fail() {
     let (ok, _, stderr) = mtb(&["exp", "nonsense"]);
     assert!(!ok);
     assert!(stderr.contains("unknown experiment"), "{stderr}");
+}
+
+/// Malformed `MTB_JOBS` / `MTB_CHECKPOINT_EVERY` values warn on stderr,
+/// naming the value and the default each command falls back to.
+#[test]
+fn malformed_env_values_warn() {
+    let stderr_with = |var: &str, val: &str, args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_mtb"))
+            .env(var, val)
+            .args(args)
+            .output()
+            .expect("mtb binary runs");
+        assert!(out.status.success(), "mtb {args:?} with {var}={val}");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let snap = std::env::temp_dir().join(format!("mtb-env-warn-{}.snap", std::process::id()));
+    let snap_arg = snap.to_str().expect("UTF-8 temp path");
+    let stderr = stderr_with(
+        "MTB_JOBS",
+        "fourx",
+        &[
+            "checkpoint-identity",
+            "--save",
+            snap_arg,
+            "--app",
+            "metbench",
+            "--case",
+            "A",
+            "--stepping",
+            "quantum",
+            "--fidelity",
+            "meso",
+        ],
+    );
+    std::fs::remove_file(&snap).ok();
+    assert!(
+        stderr.contains(r#"MTB_JOBS="fourx" is not a number; falling back to the default (1)"#),
+        "checkpoint-identity: {stderr}"
+    );
+    let stderr = stderr_with(
+        "MTB_JOBS",
+        "fourx",
+        &["table-dynamic", "--smoke", "--no-cache"],
+    );
+    assert!(
+        stderr.contains(r#"MTB_JOBS="fourx" is not a number; falling back to the default (4)"#),
+        "table-dynamic: {stderr}"
+    );
+    let stderr = stderr_with(
+        "MTB_CHECKPOINT_EVERY",
+        "abc",
+        &["tables", "4", "--no-cache"],
+    );
+    assert!(
+        stderr.contains(r#"MTB_CHECKPOINT_EVERY="abc" is not an event count"#),
+        "tables: {stderr}"
+    );
 }
 
 #[test]

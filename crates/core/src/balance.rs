@@ -8,9 +8,7 @@
 use crate::policy::{apply_priorities, PrioritySetting};
 use mtb_mpisim::engine::{Engine, EngineState, Observer, RunResult, SimConfig, SimError, Stepping};
 use mtb_mpisim::program::Program;
-use mtb_oskernel::{
-    CtxAddr, KernelConfig, NoiseSource, PriorityError, Segmentation, Topology, WaitPolicy,
-};
+use mtb_oskernel::{CtxAddr, KernelConfig, NoiseSource, PriorityError, Topology, WaitPolicy};
 use mtb_smtsim::chip::Fidelity;
 use mtb_smtsim::perfmodel::MesoConfig;
 use mtb_smtsim::CoreConfig;
@@ -99,12 +97,6 @@ pub struct StaticRun<'a> {
     /// trajectory is identical whether or not checkpoints are taken, so
     /// this is excluded from config/record hashing just like `threads`.
     pub checkpoint_every: Option<u64>,
-    /// How the machine segments epochs at noise boundaries (the event
-    /// calendar by default). Results are bit-identical under either
-    /// strategy, so this is excluded from config/record hashing just
-    /// like `threads`; the reference exists for differential suites and
-    /// the kernel-path benchmarks.
-    pub segmentation: Segmentation,
 }
 
 impl<'a> StaticRun<'a> {
@@ -123,7 +115,6 @@ impl<'a> StaticRun<'a> {
             stepping: Stepping::default(),
             threads: 1,
             checkpoint_every: None,
-            segmentation: Segmentation::default(),
         }
     }
 
@@ -196,13 +187,6 @@ impl<'a> StaticRun<'a> {
         self
     }
 
-    /// Choose the machine's epoch segmentation strategy. Pure wall-clock
-    /// knob: results are bit-identical under either strategy.
-    pub fn with_segmentation(mut self, s: Segmentation) -> Self {
-        self.segmentation = s;
-        self
-    }
-
     fn build_engine(&self) -> Result<Engine, SimError> {
         let mut cfg = SimConfig::power5(self.programs.len());
         cfg.cores = self.cores;
@@ -214,7 +198,6 @@ impl<'a> StaticRun<'a> {
         cfg.wait_policy = self.wait_policy;
         cfg.stepping = self.stepping;
         cfg.threads = self.threads;
-        cfg.segmentation = self.segmentation;
         if matches!(self.fidelity, Fidelity::Cycle(_)) {
             // The cycle model costs real time per simulated cycle; keep
             // event steps bounded so rate estimates stay fresh.

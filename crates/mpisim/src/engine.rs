@@ -28,8 +28,7 @@ use crate::comm::{CommRankState, CommState, LatencyModel, Message};
 use crate::interp::{collective_signature, flatten, FlatOp};
 use crate::program::{Program, Rank, TracePhase};
 use mtb_oskernel::{
-    CtxAddr, KernelConfig, Machine, MachineError, MachineState, NoiseSource, Segmentation,
-    Topology, WaitPolicy,
+    CtxAddr, KernelConfig, Machine, MachineError, MachineState, NoiseSource, Topology, WaitPolicy,
 };
 use mtb_smtsim::chip::{build_cores_grouped, Fidelity};
 use mtb_trace::paraver::CommEvent;
@@ -344,12 +343,6 @@ pub struct SimConfig {
     /// permits) and results are bit-identical at any setting — `threads`
     /// therefore does *not* enter any record/config hash.
     pub threads: usize,
-    /// How the machine segments epochs at noise boundaries (event
-    /// calendar vs the reference per-segment scan). Results are
-    /// bit-identical either way, so like `threads` this is excluded from
-    /// every record/config hash; the knob exists for the differential
-    /// suites and the kernel-path benchmarks.
-    pub segmentation: Segmentation,
 }
 
 impl SimConfig {
@@ -369,7 +362,6 @@ impl SimConfig {
             quantum: 1_000_000_000,
             stepping: Stepping::default(),
             threads: 1,
-            segmentation: Segmentation::default(),
         }
     }
 }
@@ -582,7 +574,6 @@ impl Engine {
             cfg.kernel,
         );
         machine.set_parallelism(cfg.threads);
-        machine.set_segmentation(cfg.segmentation);
         machine.set_wait_policy(cfg.wait_policy);
         for src in cfg.noise {
             machine.add_noise(src);

@@ -154,7 +154,10 @@ pub enum Segmentation {
     Calendar,
     /// The original implementation: every segment pays an O(sources)
     /// linear scan for the next boundary and an O(contexts × sources)
-    /// scan to sync handler state. Kept as the differential reference.
+    /// scan to sync handler state. A test oracle, not a mode: no
+    /// simulation config selects it; only [`Machine::set_segmentation`]
+    /// does, for `oskernel/tests/segmentation_identity.rs` and the
+    /// `mtb bench` kernel-path sweep to compare the calendar against.
     Reference,
 }
 

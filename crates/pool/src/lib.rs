@@ -2,7 +2,7 @@
 //!
 //! The build environment has no registry access (no rayon), so this crate
 //! hand-rolls the two pieces the simulators need, mirroring the offline-stub
-//! pattern used for `proptest`/`criterion`:
+//! pattern used for `proptest`:
 //!
 //! * [`ShardedRunner`] — persistent shard-pinned workers driven by an
 //!   **epoch** protocol. One call to [`ShardedRunner::run_epoch`] runs a
@@ -151,27 +151,33 @@ pub fn parse_jobs(raw: Option<&str>, default: usize) -> (usize, Option<String>) 
         Err(_) => (
             default,
             Some(format!(
-                "MTB_JOBS={raw:?} is not a number; falling back to available parallelism ({default})"
+                "MTB_JOBS={raw:?} is not a number; falling back to the default ({default})"
             )),
         ),
     }
 }
 
+/// The `MTB_JOBS` environment variable resolved by [`parse_jobs`]
+/// against `default`, printing any warning on stderr.
+pub fn jobs_from_env(default: usize) -> usize {
+    let raw = std::env::var("MTB_JOBS").ok();
+    let (total, warning) = parse_jobs(raw.as_deref(), default);
+    if let Some(w) = warning {
+        eprintln!("mtb-pool: {w}");
+    }
+    total
+}
+
 /// The process-wide budget. Total defaults to the `MTB_JOBS` environment
 /// variable when set (the CI matrix knob), else `available_parallelism`.
-/// Malformed values warn on stderr ([`parse_jobs`]).
+/// Malformed values warn on stderr ([`jobs_from_env`]).
 pub fn global_budget() -> &'static Arc<Budget> {
     static GLOBAL: OnceLock<Arc<Budget>> = OnceLock::new();
     GLOBAL.get_or_init(|| {
         let default = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        let raw = std::env::var("MTB_JOBS").ok();
-        let (total, warning) = parse_jobs(raw.as_deref(), default);
-        if let Some(w) = warning {
-            eprintln!("mtb-pool: {w}");
-        }
-        Arc::new(Budget::new(total))
+        Arc::new(Budget::new(jobs_from_env(default)))
     })
 }
 
